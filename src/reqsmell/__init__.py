@@ -12,7 +12,6 @@ from .dictionaries import (
     PhraseMatcher,
     PhrasePattern,
     builtin_dictionaries,
-    compile_dictionary,
     format_dictionary_file,
     load_dictionary_file,
 )
@@ -36,7 +35,6 @@ from .metrics import (
     analyze_requirement,
     analyze_text,
     compute_readability,
-    count_matches,
 )
 from .reporting import (
     AnalysisReport,
@@ -84,9 +82,7 @@ __all__ = [
     "apply_thresholds",
     "build_report",
     "builtin_dictionaries",
-    "compile_dictionary",
     "compute_readability",
-    "count_matches",
     "format_dictionary_file",
     "load_dictionary_file",
     "load_requirements",

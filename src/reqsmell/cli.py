@@ -65,6 +65,11 @@ def _write_output(payload: bytes, output: str | None) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
+        # mkstemp creates the file 0600; give the report the mode a plain
+        # open() would, 0666 less the umask.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, output)
     except BaseException:
         os.unlink(tmp_path)

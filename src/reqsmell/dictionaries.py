@@ -1,8 +1,10 @@
 """Keyword dictionaries for the smell metrics, plus the phrase matcher.
 
 Each metric with a keyword list gets one :class:`Dictionary` of compiled
-:class:`PhrasePattern` entries. The built-in lists ship with the package;
-a user-supplied override file can replace any of them per metric.
+:class:`PhrasePattern` entries; one :class:`PhraseMatcher` serves all of
+them with a single trie walk per token position. The built-in lists ship
+with the package; a user-supplied override file can replace any of them
+per metric.
 
 Matching semantics (shared by the matcher and all its tests): scan a token
 sequence left to right; at each position the longest matching pattern wins
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedDictionaryError
 from .text import normalize, tokenize
@@ -168,79 +170,77 @@ def builtin_dictionaries() -> dict[str, Dictionary]:
 
 
 class _TrieNode:
-    __slots__ = ("children", "literal", "slot")
+    """One token position in the merged trie.
+
+    ``literals`` and ``slots`` hold (metric, text) pairs for the patterns of
+    each metric that end here: the literal's phrase, or the slot pattern's
+    phrase prefix including the space before the participle.
+    """
+
+    __slots__ = ("children", "literals", "slots")
 
     def __init__(self) -> None:
         self.children: dict[str, _TrieNode] = {}
-        self.literal: PhrasePattern | None = None
-        self.slot: PhrasePattern | None = None
+        self.literals: tuple[tuple[str, str], ...] = ()
+        self.slots: tuple[tuple[str, str], ...] = ()
 
 
 class PhraseMatcher:
-    """Token-level trie scanner for one dictionary.
+    """One token trie over several dictionaries, scanned once per sentence.
 
-    ``find_matches`` implements the longest-match, non-overlapping scan
-    described in the module docstring and returns (start, end, phrase)
-    triples with half-open token ranges. For a participle-slot match the
-    phrase includes the concrete participle token.
+    ``find_matches`` applies the scan described in the module docstring to
+    every metric at once and returns (metric, start, end, phrase) tuples
+    with half-open token ranges, ordered by start. For a participle-slot
+    match the phrase includes the concrete participle token.
     """
 
-    def __init__(self, dictionary: Dictionary):
-        self.metric_id = dictionary.metric_id
+    def __init__(self, dictionaries: Mapping[str, Dictionary]):
         self._root = _TrieNode()
-        for pattern in sorted(dictionary.patterns, key=lambda p: (p.tokens, p.participle_slot)):
-            node = self._root
-            for token in pattern.tokens:
-                node = node.children.setdefault(token, _TrieNode())
-            if pattern.participle_slot:
-                node.slot = pattern
-            else:
-                node.literal = pattern
+        for metric, dictionary in dictionaries.items():
+            for pattern in dictionary.patterns:
+                node = self._root
+                for token in pattern.tokens:
+                    child = node.children.get(token)
+                    if child is None:
+                        child = node.children[token] = _TrieNode()
+                    node = child
+                if pattern.participle_slot:
+                    node.slots += ((metric, " ".join(pattern.tokens) + " "),)
+                else:
+                    node.literals += ((metric, pattern.phrase),)
 
-    def find_matches(self, words: Sequence[str]) -> list[tuple[int, int, str]]:
-        matches: list[tuple[int, int, str]] = []
+    def find_matches(self, words: Sequence[str]) -> list[tuple[str, int, int, str]]:
+        matches: list[tuple[str, int, int, str]] = []
+        first_nodes = self._root.children
         total = len(words)
-        root = self._root
-        i = 0
-        while i < total:
-            node = root
-            j = i
-            best_end = i
-            best_phrase = ""
-            best_literal = False
+        resume: dict[str, int] = {}  # per metric, the first unconsumed position
+        for i, word in enumerate(words):
+            node = first_nodes.get(word)
+            if node is None:
+                continue
+            # Walk once, keeping each metric's latest candidate. Candidate
+            # ends never decrease along the walk and a literal ending at j
+            # comes after a slot ending at j, so the last one seen is the
+            # longest, and the literal on a tie.
+            best: dict[str, tuple[int, str]] = {}
+            j = i + 1
             while True:
-                if node.literal is not None and (
-                    j > best_end or (j == best_end and not best_literal)
-                ):
-                    best_end = j
-                    best_phrase = node.literal.phrase
-                    best_literal = True
-                if (
-                    node.slot is not None
-                    and j < total
-                    and is_participle(words[j])
-                    and j + 1 > best_end
-                ):
-                    best_end = j + 1
-                    best_phrase = " ".join(node.slot.tokens) + " " + words[j]
-                    best_literal = False
-                if j >= total:
+                for metric, phrase in node.literals:
+                    best[metric] = (j, phrase)
+                if node.slots and j < total and is_participle(words[j]):
+                    for metric, prefix in node.slots:
+                        best[metric] = (j + 1, prefix + words[j])
+                if j == total:
                     break
-                node = node.children.get(words[j])  # type: ignore[assignment]
+                node = node.children.get(words[j])
                 if node is None:
                     break
                 j += 1
-            if best_end > i:
-                matches.append((i, best_end, best_phrase))
-                i = best_end
-            else:
-                i += 1
+            for metric, (end, phrase) in best.items():
+                if resume.get(metric, 0) <= i:
+                    matches.append((metric, i, end, phrase))
+                    resume[metric] = end
         return matches
-
-
-def compile_dictionary(dictionary: Dictionary) -> PhraseMatcher:
-    """Compile one dictionary into its scanner."""
-    return PhraseMatcher(dictionary)
 
 
 def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:

@@ -22,6 +22,11 @@ from .errors import (
 )
 
 
+# The csv module's quote character and the record terminators cannot also
+# separate fields.
+_RESERVED_DELIMITERS = ('"', "\r", "\n")
+
+
 class EmptyCorpusWarning(UserWarning):
     """The file parsed fine but contained no data rows."""
 
@@ -39,6 +44,10 @@ class ColumnMapping:
             raise ValueError("id column and text column must differ")
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
+        if self.delimiter in _RESERVED_DELIMITERS:
+            raise ValueError(
+                f"delimiter {self.delimiter!r} is not allowed: it is the quote character or a line break"
+            )
 
 
 @dataclass(frozen=True)
@@ -67,19 +76,21 @@ def load_requirements(
 
     Raises :class:`MissingColumnError`, :class:`DuplicateIdError`,
     :class:`RowArityError`, :class:`EncodingError`, or :class:`CorpusError`
-    on invalid input; OS-level failures propagate as ``OSError``. A file
-    with a header but no data rows returns ``[]`` and emits
-    :class:`EmptyCorpusWarning`.
+    on invalid input, including a record the CSV parser rejects (such as a
+    field over ``csv.field_size_limit()``); OS-level failures propagate as
+    ``OSError``. A file with a header but no data rows returns ``[]`` and
+    emits :class:`EmptyCorpusWarning`.
     """
     requirements: list[Requirement] = []
     seen_ids: dict[str, int] = {}
-    record = 1
+    record = 0  # records read so far
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=mapping.delimiter)
         try:
             header = next(reader, None)
             if header is None:
                 raise CorpusError("file is empty; a header row is required")
+            record = 1
             id_index = _column_index(header, mapping.id_column)
             text_index = _column_index(header, mapping.text_column)
             for row in reader:
@@ -104,6 +115,8 @@ def load_requirements(
                 )
         except UnicodeDecodeError as exc:
             raise EncodingError(record + 1, exc.reason) from exc
+        except csv.Error as exc:
+            raise CorpusError(f"row {record + 1}: {exc}") from exc
     if not requirements:
         warnings.warn("no requirements found (header-only file)", EmptyCorpusWarning, stacklevel=2)
     return requirements

@@ -14,16 +14,10 @@ word; empty text yields a degenerate all-zero vector instead of an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .dictionaries import (
-    DICTIONARY_METRICS,
-    Dictionary,
-    PhraseMatcher,
-    builtin_dictionaries,
-    compile_dictionary,
-)
-from .text import Sentence, Token, normalize, split_sentences, tokenize
+from .dictionaries import DICTIONARY_METRICS, Dictionary, PhraseMatcher, builtin_dictionaries
+from .text import normalize, scan
 
 if TYPE_CHECKING:
     from .ingestion import Requirement
@@ -81,57 +75,28 @@ class MetricVector:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Immutable bundle of the seven dictionaries and their matchers."""
+    """Immutable bundle of the seven dictionaries and their merged matcher."""
 
     dictionaries: Mapping[str, Dictionary]
-    matchers: Mapping[str, PhraseMatcher]
+    matcher: PhraseMatcher
 
     @classmethod
     def from_dictionaries(cls, dictionaries: Mapping[str, Dictionary]) -> AnalysisConfig:
         missing = [m for m in DICTIONARY_METRICS if m not in dictionaries]
         if missing:
             raise ValueError(f"missing dictionaries for metrics: {', '.join(missing)}")
-        matchers = {m: compile_dictionary(dictionaries[m]) for m in DICTIONARY_METRICS}
-        return cls(dict(dictionaries), matchers)
+        matcher = PhraseMatcher({m: dictionaries[m] for m in DICTIONARY_METRICS})
+        return cls(dict(dictionaries), matcher)
 
     @classmethod
     def default(cls) -> AnalysisConfig:
         return cls.from_dictionaries(builtin_dictionaries())
 
 
-def _find_spans(
-    words: Sequence[str], sentences: Sequence[Sentence], matcher: PhraseMatcher
-) -> list[MatchSpan]:
-    spans: list[MatchSpan] = []
-    metric = matcher.metric_id
-    for sentence in sentences:
-        for start, end, phrase in matcher.find_matches(words[sentence.start:sentence.end]):
-            spans.append(
-                MatchSpan(metric, phrase, sentence.start + start, sentence.start + end)
-            )
-    return spans
-
-
-def count_matches(
-    tokens: Sequence[Token], sentences: Sequence[Sentence], matcher: PhraseMatcher
-) -> tuple[int, list[MatchSpan]]:
-    """Count one dictionary's occurrences over a tokenized requirement.
-
-    Each sentence is scanned independently (greedy, longest match wins,
-    matched tokens consumed), so a phrase never straddles a boundary.
-    Returned span indices refer to the full token sequence.
-    """
-    spans = _find_spans([tok.text for tok in tokens], sentences, matcher)
-    return len(spans), spans
-
-
 def compute_readability(
-    tokens: Sequence[Token], sentences: Sequence[Sentence]
+    word_count: int, sentence_count: int, letter_count: int
 ) -> ReadabilityStats:
-    """Word, sentence, and letter counts plus the two averages behind ARI."""
-    word_count = len(tokens)
-    sentence_count = len(sentences)
-    letter_count = sum(tok.letter_count for tok in tokens)
+    """The two averages behind ARI, from word, sentence and letter counts."""
     return ReadabilityStats(
         word_count=word_count,
         sentence_count=sentence_count,
@@ -142,12 +107,16 @@ def compute_readability(
 
 
 def analyze_text(text: str, config: AnalysisConfig) -> MetricVector:
-    """Compute the full metric vector for one requirement text."""
-    normalized = normalize(text)
-    tokens = tokenize(normalized)
-    sentences = split_sentences(normalized, tokens)
-    readability = compute_readability(tokens, sentences)
-    if not tokens:
+    """Compute the full metric vector for one requirement text.
+
+    Each sentence is scanned independently (greedy, longest match wins,
+    matched tokens consumed), so a phrase never straddles a boundary. Span
+    indices refer to the full token sequence; spans are ordered by metric
+    in report order, then by position.
+    """
+    words, sentences, letter_count = scan(normalize(text))
+    readability = compute_readability(len(words), len(sentences), letter_count)
+    if not words:
         return MetricVector(
             counts={metric: 0 for metric in DICTIONARY_METRICS},
             word_count=0,
@@ -156,16 +125,17 @@ def analyze_text(text: str, config: AnalysisConfig) -> MetricVector:
             spans=(),
             readability=readability,
         )
-    words = [tok.text for tok in tokens]
-    counts: dict[str, int] = {}
+    by_metric: dict[str, list[MatchSpan]] = {metric: [] for metric in DICTIONARY_METRICS}
+    find_matches = config.matcher.find_matches
+    for first, last in sentences:
+        for metric, start, end, phrase in find_matches(words[first:last]):
+            by_metric[metric].append(MatchSpan(metric, phrase, first + start, first + end))
     spans: list[MatchSpan] = []
-    for metric in DICTIONARY_METRICS:
-        found = _find_spans(words, sentences, config.matchers[metric])
-        counts[metric] = len(found)
-        spans.extend(found)
+    for found in by_metric.values():
+        spans += found
     return MetricVector(
-        counts=counts,
-        word_count=len(tokens),
+        counts={metric: len(found) for metric, found in by_metric.items()},
+        word_count=len(words),
         ari=readability.ari,
         degenerate=False,
         spans=tuple(spans),

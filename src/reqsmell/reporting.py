@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -40,6 +41,8 @@ class ThresholdRule:
             raise ValueError(f"unknown metric {self.metric_id!r}")
         if self.comparator not in _COMPARATORS:
             raise ValueError(f"comparator must be one of {_COMPARATORS}")
+        if not math.isfinite(self.limit):
+            raise ValueError("limit must be a finite number")
         if self.limit < 0:
             raise ValueError("limit must be non-negative")
 
@@ -68,6 +71,9 @@ def parse_threshold_rules(lines: Iterable[str]) -> tuple[ThresholdRule, ...]:
             limit = float(raw_limit)
         except ValueError:
             raise MalformedThresholdError(f"invalid limit {raw_limit!r}", lineno) from None
+        if not math.isfinite(limit):
+            # A NaN rule never fires and an infinite one cannot be reached.
+            raise MalformedThresholdError(f"limit must be a finite number, got {raw_limit!r}", lineno)
         if limit < 0:
             raise MalformedThresholdError("limit must be non-negative", lineno)
         if metric in rules:
@@ -246,7 +252,14 @@ def _config_payload(config: ReportConfig) -> dict:
 
 
 def render_json(report: AnalysisReport) -> bytes:
-    payload = {
+    """Render the report as ``json.dumps(payload, indent=2,
+    ensure_ascii=False)`` plus a newline would, byte for byte.
+
+    Only the small head goes through ``json.dumps``, whose indenting encoder
+    is pure Python. The requirements array has a fixed schema and is written
+    from templates, with each string leaf through the C string encoder.
+    """
+    head = {
         "tool": report.tool,
         "version": report.version,
         "config": _config_payload(report.config),
@@ -259,27 +272,61 @@ def render_json(report: AnalysisReport) -> bytes:
                 for metric, stat in report.summary.metrics.items()
             },
         },
-        "requirements": [
-            {
-                "id": entry.id,
-                "metrics": entry.vector.as_dict(),
-                "spans": [
-                    {
-                        "metric": span.metric,
-                        "phrase": span.phrase,
-                        "start": span.start,
-                        "end": span.end,
-                    }
-                    for span in entry.vector.spans
-                ],
-                "flags": list(entry.flags),
-                "warnings": list(entry.warnings),
-            }
-            for entry in report.entries
-        ],
     }
-    text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    return text.encode("utf-8")
+    text = json.dumps(head, indent=2, ensure_ascii=False)
+    # The head ends with "\n}"; the requirements array becomes its last key.
+    parts = [text[:-2], ',\n  "requirements": ']
+    if report.entries:
+        parts.append("[\n")
+        parts.append(",\n".join(_requirement_json(entry) for entry in report.entries))
+        parts.append("\n  ]")
+    else:
+        parts.append("[]")
+    parts.append("\n}\n")
+    return "".join(parts).encode("utf-8")
+
+
+# Leaves are written as json.dumps writes them: strings with the encoder it
+# uses for ensure_ascii=False, ints with str and floats with repr.
+_encode = json.encoder.encode_basestring
+
+_METRICS_JSON = ",\n".join(f'        "{metric}": {{}}' for metric in ALL_METRICS)
+
+_SPAN_JSON = (
+    "        {{\n"
+    '          "metric": {},\n'
+    '          "phrase": {},\n'
+    '          "start": {},\n'
+    '          "end": {}\n'
+    "        }}"
+)
+
+
+def _array_json(items: Sequence[str]) -> str:
+    """A JSON array in a requirement field, from already encoded items."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n      ]"
+
+
+def _requirement_json(entry: RequirementEntry) -> str:
+    vector = entry.vector
+    values = [_metric_cell(vector.value(metric)) for metric in ALL_METRICS]
+    spans = _array_json([
+        _SPAN_JSON.format(_encode(span.metric), _encode(span.phrase), span.start, span.end)
+        for span in vector.spans
+    ])
+    flags = _array_json(["        " + _encode(flag) for flag in entry.flags])
+    warnings = _array_json(["        " + _encode(warning) for warning in entry.warnings])
+    return (
+        "    {\n"
+        f'      "id": {_encode(entry.id)},\n'
+        f'      "metrics": {{\n{_METRICS_JSON.format(*values)}\n      }},\n'
+        f'      "spans": {spans},\n'
+        f'      "flags": {flags},\n'
+        f'      "warnings": {warnings}\n'
+        "    }"
+    )
 
 
 def _metric_cell(value: float) -> str:

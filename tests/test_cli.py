@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -63,6 +66,15 @@ class TestHappyPaths:
         run(["--input", str(corpus), "--format", "json", "--output", str(first)])
         run(["--input", str(corpus), "--format", "json", "--output", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+    def test_output_file_mode_follows_umask(self, corpus, tmp_path):
+        target = tmp_path / "report.csv"
+        previous = os.umask(0o022)
+        try:
+            assert run(["--input", str(corpus), "--format", "csv", "--output", str(target)]) == EXIT_OK
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
     def test_no_temp_files_left_behind(self, corpus, tmp_path):
         target = tmp_path / "report.csv"
@@ -180,6 +192,27 @@ class TestErrorPaths:
         target = tmp_path / "no" / "such" / "dir" / "report.json"
         assert run(["--input", str(corpus), "--output", str(target)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_quote_delimiter(self, corpus, capsys):
+        assert run(["--input", str(corpus), "--delimiter", '"']) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: delimiter")
+        assert "not found" not in err
+
+    def test_field_over_parser_limit(self, tmp_path, capsys):
+        path = tmp_path / "corpus.csv"
+        path.write_text("ID,Text\nR1," + "x" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+        assert run(["--input", str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 2:")
+        assert err.count("\n") == 1
+
+    def test_non_finite_threshold(self, corpus, tmp_path, capsys):
+        rules = tmp_path / "nan.txt"
+        rules.write_text("V >= nan\n", encoding="utf-8")
+        code = run(["--input", str(corpus), "--thresholds", str(rules), "--fail-on-flagged"])
+        assert code == EXIT_ERROR
+        assert "finite" in capsys.readouterr().err
 
     def test_duplicate_ids(self, tmp_path, capsys):
         path = tmp_path / "corpus.csv"

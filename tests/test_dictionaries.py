@@ -7,9 +7,9 @@ from reqsmell.dictionaries import (
     DICTIONARY_METRICS,
     USER_FILE,
     Dictionary,
+    PhraseMatcher,
     PhrasePattern,
     builtin_dictionaries,
-    compile_dictionary,
     format_dictionary_file,
     is_participle,
     load_dictionary_file,
@@ -211,47 +211,47 @@ class TestMatcher:
     def _matcher(self, *phrases, slots=()):
         patterns = {PhrasePattern(tuple(p.split()), False) for p in phrases}
         patterns |= {PhrasePattern(tuple(p.split()), True) for p in slots}
-        return compile_dictionary(Dictionary("V", frozenset(patterns), USER_FILE))
+        return PhraseMatcher({"V": Dictionary("V", frozenset(patterns), USER_FILE)})
 
     def test_longest_match_wins(self):
         # expected span verified against the brute-force scan below
         matcher = self._matcher("see", "see reference")
         words = ["see", "reference", "5"]
-        assert matcher.find_matches(words) == [(0, 2, "see reference")]
+        assert matcher.find_matches(words) == [("V", 0, 2, "see reference")]
         assert naive_scan(words, [(("see",), False), (("see", "reference"), False)]) == [
             (0, 2, "see reference")
         ]
 
     def test_adjacent_occurrences_both_count(self):
-        matcher = compile_dictionary(builtin_dictionaries()["O"])
+        matcher = PhraseMatcher({"O": builtin_dictionaries()["O"]})
         assert matcher.find_matches(["can", "can"]) == [
-            (0, 1, "can"),
-            (1, 2, "can"),
+            ("O", 0, 1, "can"),
+            ("O", 1, 2, "can"),
         ]
 
     def test_consumed_tokens_do_not_rematch(self):
         matcher = self._matcher("a b", "b c")
-        assert matcher.find_matches(["a", "b", "c"]) == [(0, 2, "a b")]
+        assert matcher.find_matches(["a", "b", "c"]) == [("V", 0, 2, "a b")]
 
     def test_slot_requires_participle(self):
         matcher = self._matcher(slots=["should have"])
         assert matcher.find_matches(["should", "have", "tested"]) == [
-            (0, 3, "should have tested")
+            ("V", 0, 3, "should have tested")
         ]
         assert matcher.find_matches(["should", "have", "tests"]) == []
 
     def test_literal_beats_slot_of_equal_length(self):
         matcher = self._matcher("should have done", slots=["should have"])
         assert matcher.find_matches(["should", "have", "done"]) == [
-            (0, 3, "should have done")
+            ("V", 0, 3, "should have done")
         ]
 
     def test_longer_literal_beats_shorter_slot(self):
         matcher = self._matcher("must have stopped fully", slots=["must have"])
         assert matcher.find_matches(["must", "have", "stopped", "fully"]) == [
-            (0, 4, "must have stopped fully")
+            ("V", 0, 4, "must have stopped fully")
         ]
 
     def test_no_matches_on_empty_input(self):
-        matcher = compile_dictionary(builtin_dictionaries()["V"])
+        matcher = PhraseMatcher(builtin_dictionaries())
         assert matcher.find_matches([]) == []

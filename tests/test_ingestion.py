@@ -116,6 +116,12 @@ class TestErrors:
         assert info.value.requirement_id == "R1"
         assert info.value.rows == (2, 4)
 
+    def test_field_over_parser_limit_names_the_record(self, tmp_path):
+        oversized = "x" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, f"ID,Text\nR1,short\nR2,{oversized}\n")
+        with pytest.raises(CorpusError, match="row 3"):
+            load_requirements(path, DEFAULT)
+
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_bytes(b"ID,Text\nR1,caf\xe9\n")
@@ -139,6 +145,11 @@ class TestColumnMapping:
     def test_rejects_empty_delimiter(self):
         with pytest.raises(ValueError):
             ColumnMapping(delimiter="")
+
+    @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
+    def test_rejects_quote_and_line_break_delimiters(self, delimiter):
+        with pytest.raises(ValueError, match="quote character or a line break"):
+            ColumnMapping(delimiter=delimiter)
 
 
 class TestEmptyCorpus:

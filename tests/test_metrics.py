@@ -2,7 +2,7 @@
 
 import pytest
 
-from reqsmell.dictionaries import builtin_dictionaries, compile_dictionary
+from reqsmell.dictionaries import builtin_dictionaries
 from reqsmell.ingestion import Requirement
 from reqsmell.metrics import (
     ALL_METRICS,
@@ -11,28 +11,27 @@ from reqsmell.metrics import (
     analyze_requirement,
     analyze_text,
     compute_readability,
-    count_matches,
 )
-from reqsmell.text import normalize, split_sentences, tokenize
+from reqsmell.text import normalize, scan
 
 from oracle import naive_metric_spans
 
 CONFIG = AnalysisConfig.default()
 
 
-def _prepare(text):
-    normalized = normalize(text)
-    tokens = tokenize(normalized)
-    return tokens, split_sentences(normalized, tokens)
+def _stats(text):
+    words, sentences, letters = scan(normalize(text))
+    return compute_readability(len(words), len(sentences), letters)
 
 
 def _count(metric, text):
-    matcher = compile_dictionary(builtin_dictionaries()[metric])
-    tokens, sentences = _prepare(text)
-    return count_matches(tokens, sentences, matcher)
+    spans = [span for span in analyze_text(text, CONFIG).spans if span.metric == metric]
+    return len(spans), spans
 
 
 class TestCountMatches:
+    """Per-metric counting through analyze_text over the merged matcher."""
+
     def test_vagueness_scan(self):
         count, spans = _count("V", "the system may fail based on some conditions")
         assert count == 3
@@ -82,19 +81,19 @@ class TestCountMatches:
 
 class TestComputeReadability:
     def test_single_sentence(self):
-        stats = compute_readability(*_prepare("the cat sat."))
+        stats = _stats("the cat sat.")
         assert stats.words_per_sentence == 3.0
         assert stats.letters_per_word == 3.0
         assert stats.ari == 30.0
 
     def test_two_sentences(self):
-        stats = compute_readability(*_prepare("aa bb. cc dd."))
+        stats = _stats("aa bb. cc dd.")
         assert stats.words_per_sentence == 2.0
         assert stats.letters_per_word == 2.0
         assert stats.ari == 20.0
 
     def test_empty_text(self):
-        stats = compute_readability(*_prepare(""))
+        stats = _stats("")
         assert stats.word_count == 0
         assert stats.sentence_count == 0
         assert stats.words_per_sentence == 0.0
@@ -102,14 +101,14 @@ class TestComputeReadability:
         assert stats.ari == 0.0
 
     def test_digits_do_not_count_as_letters(self):
-        stats = compute_readability(*_prepare("ab1 cd."))
+        stats = _stats("ab1 cd.")
         assert stats.word_count == 2
         assert stats.letter_count == 4
         assert stats.ari == 2.0 + 9.0 * 2.0
 
     def test_fractional_average(self):
         # 8 words, 37 letters, one sentence: 8 + 9 * 37/8
-        stats = compute_readability(*_prepare("the system may fail based on some conditions"))
+        stats = _stats("the system may fail based on some conditions")
         assert stats.ari == pytest.approx(49.625, abs=1e-9)
 
 
@@ -186,7 +185,9 @@ class TestAnalyzeRequirement:
 class TestAnalysisConfig:
     def test_default_covers_every_dictionary_metric(self):
         for metric in ("V", "NR1", "NR2", "O", "S", "W", "NC"):
-            assert metric in CONFIG.matchers
+            assert metric in CONFIG.dictionaries
+        words = "see reference and may be able to".split()
+        assert {m for m, *_ in CONFIG.matcher.find_matches(words)} == {"NR1", "NC", "V", "O", "W"}
 
     def test_from_dictionaries_requires_full_set(self):
         partial = {"O": builtin_dictionaries()["O"]}

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 
 from reqsmell.dictionaries import (
     DICTIONARY_METRICS,
+    USER_FILE,
+    Dictionary,
+    PhrasePattern,
     builtin_dictionaries,
     format_dictionary_file,
     load_dictionary_file,
 )
 from reqsmell.metrics import ALL_METRICS, AnalysisConfig, analyze_text
 from reqsmell.reporting import ThresholdRule, apply_thresholds
-from reqsmell.text import normalize, split_sentences, tokenize
+from reqsmell.text import normalize, scan, split_sentences, tokenize
 
 from oracle import naive_metric_spans
 
@@ -82,6 +85,88 @@ class TestTextCore:
         for token in tokenize(normalized):
             assert normalized[token.start:token.end] == token.text
             assert token.letter_count <= len(token.text)
+
+
+# Characters at the edges of the token and letter rules: combining marks,
+# numerics that are not decimal digits, the underscore, both apostrophes,
+# the hyphen and every terminator.
+_EDGE_CHARACTERS = "a\u0301\u0308²½_'’-.!?; x9ßİﬃ"
+
+
+class TestSinglePassScan:
+    @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(_EDGE_CHARACTERS))))
+    def test_scan_equals_tokenize_split_and_letter_sums(self, text):
+        normalized = normalize(text)
+        tokens = tokenize(normalized)
+        words, sentences, letters = scan(normalized)
+        assert words == [token.text for token in tokens]
+        assert sentences == split_sentences(normalized, tokens)
+        assert letters == sum(token.letter_count for token in tokens)
+
+
+# A user glossary that stresses the merged trie: phrases shared by several
+# metrics, one metric's phrase a prefix of another's or of its own, a slot
+# that extends a literal of the same metric, a literal that ties with a slot
+# of the same metric, and slots after prefixes that other metrics extend.
+_GLOSSARY_SPEC = {
+    "V": ["may", "as soon as possible", "should", "should have <PP>", "should have done"],
+    "NR1": ["see", "see the", "see the reference", "may be"],
+    "NR2": ["as soon", "figure", "have done"],
+    "O": ["may", "may be", "should have", "can"],
+    "S": ["as", "as soon as", "be <PP>"],
+    "W": ["be able", "be able to", "able to be <PP>", "should have done"],
+    "NC": ["and", "or", "have <PP>"],
+}
+
+
+def _glossary():
+    dictionaries = {}
+    for metric, lines in _GLOSSARY_SPEC.items():
+        patterns = set()
+        for line in lines:
+            slot = line.endswith(" <PP>")
+            tokens = tuple(line.removesuffix(" <PP>").split())
+            patterns.add(PhrasePattern(tokens, slot))
+        dictionaries[metric] = Dictionary(metric, frozenset(patterns), USER_FILE)
+    return dictionaries
+
+
+_GLOSSARY = _glossary()
+_GLOSSARY_CONFIG = AnalysisConfig.from_dictionaries(_GLOSSARY)
+_GLOSSARY_PIECES = sorted(
+    {line.replace("<PP>", participle)
+     for lines in _GLOSSARY_SPEC.values()
+     for line in lines
+     for participle in ("done", "built")}
+) + ["tested", "reference", "the", "system", "to"]
+
+
+class TestMergedMatcher:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_GLOSSARY_PIECES),
+                st.sampled_from([" ", " ", " ", ". ", "; ", ", "]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_user_glossary_agrees_with_brute_force_oracle(self, parts):
+        text = splice(parts)
+        vector = analyze_text(text, _GLOSSARY_CONFIG)
+        for metric, dictionary in _GLOSSARY.items():
+            observed = [
+                (s.start, s.end, s.phrase) for s in vector.spans if s.metric == metric
+            ]
+            assert observed == naive_metric_spans(text, dictionary)
+            assert vector.value(metric) == len(observed)
+
+    def test_spans_are_metric_major_then_positional(self):
+        text = "and may be able to see the reference; may be done as in figure 2"
+        vector = analyze_text(text, _GLOSSARY_CONFIG)
+        keys = [(DICTIONARY_METRICS.index(s.metric), s.start) for s in vector.spans]
+        assert keys == sorted(keys)
+        assert {s.metric for s in vector.spans} == set(DICTIONARY_METRICS)
 
 
 class TestVectorInvariants:

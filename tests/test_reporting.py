@@ -1,6 +1,7 @@
 """Unit tests for thresholds, summaries, and the three report renderers."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -9,8 +10,9 @@ import pytest
 from reqsmell.dictionaries import BUILTIN
 from reqsmell.errors import MalformedThresholdError
 from reqsmell.ingestion import ColumnMapping, Requirement
-from reqsmell.metrics import ALL_METRICS, AnalysisConfig, analyze_text
+from reqsmell.metrics import ALL_METRICS, AnalysisConfig, MatchSpan, analyze_text
 from reqsmell.reporting import (
+    RequirementEntry,
     ThresholdRule,
     apply_thresholds,
     build_report,
@@ -59,6 +61,11 @@ class TestThresholdRule:
         with pytest.raises(ValueError):
             ThresholdRule("V", ">", -1)
 
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+    def test_rejects_non_finite_limit(self, limit):
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdRule("V", ">=", limit)
+
 
 class TestParseThresholdRules:
     def test_basic_parse(self):
@@ -85,6 +92,8 @@ class TestParseThresholdRules:
             ("V == 1", "unknown comparator"),
             ("V >= lots", "invalid limit"),
             ("V >= -1", "non-negative"),
+            ("V >= nan", "finite"),
+            ("NW > inf", "finite"),
         ],
     )
     def test_malformed_lines(self, line, fragment):
@@ -202,6 +211,99 @@ class TestRenderJson:
         raw = render_json(build_report(corpus, CONFIG))
         assert "Ä1".encode("utf-8") in raw
         assert json.loads(raw)["requirements"][0]["id"] == "Ä1"
+
+
+def _reference_json(report):
+    """The report through json.dumps, the encoder render_json must equal."""
+    config = report.config
+    mapping = config.column_mapping
+    config_payload = {
+        "column_mapping": None if mapping is None else {
+            "id_column": mapping.id_column,
+            "text_column": mapping.text_column,
+            "delimiter": mapping.delimiter,
+        },
+        "dictionaries": {
+            metric: {"origin": info.origin, "pattern_count": info.pattern_count}
+            for metric, info in config.dictionaries.items()
+        },
+        "thresholds": [
+            {"metric": rule.metric_id, "comparator": rule.comparator, "limit": rule.limit}
+            for rule in config.thresholds
+        ],
+    }
+    if config.timestamp is not None:
+        config_payload["timestamp"] = config.timestamp
+    summary = report.summary
+    payload = {
+        "tool": report.tool,
+        "version": report.version,
+        "config": config_payload,
+        "summary": {
+            "requirement_count": summary.requirement_count,
+            "flagged_count": summary.flagged_count,
+            "degenerate_count": summary.degenerate_count,
+            "metrics": {
+                metric: {"min": stat.minimum, "mean": stat.mean, "max": stat.maximum}
+                for metric, stat in summary.metrics.items()
+            },
+        },
+        "requirements": [
+            {
+                "id": entry.id,
+                "metrics": entry.vector.as_dict(),
+                "spans": [
+                    {"metric": s.metric, "phrase": s.phrase, "start": s.start, "end": s.end}
+                    for s in entry.vector.spans
+                ],
+                "flags": list(entry.flags),
+                "warnings": list(entry.warnings),
+            }
+            for entry in report.entries
+        ],
+    }
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+class TestRenderJsonEncoding:
+    # Quote, backslash, control, non-ASCII and astral characters.
+    AWKWARD = 'q"uote back\\slash tab\t nl\n bell\x07 del\x7f ä€ \u2028 \U0001F600'
+
+    def _awkward_report(self, **kwargs):
+        report = make_report(
+            requirements=CORPUS + [Requirement(id=self.AWKWARD, text="may; may", row=5)],
+            **kwargs,
+        )
+        vector = report.entries[-1].vector
+        spans = tuple(span._replace(phrase=span.phrase + self.AWKWARD) for span in vector.spans)
+        spans += (MatchSpan("V", self.AWKWARD, 0, 1),)
+        entry = RequirementEntry(
+            id=self.AWKWARD,
+            vector=dataclasses.replace(vector, spans=spans),
+            flags=("V", "ARI"),
+            warnings=(self.AWKWARD,),
+        )
+        return dataclasses.replace(report, entries=report.entries + (entry,))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"column_mapping": ColumnMapping("Key", "Body", "\t")},
+            {"timestamp": "2024-05-01T12:00:00+00:00", "column_mapping": None},
+            {"rules": ()},
+        ],
+    )
+    def test_equals_json_dumps_reference(self, kwargs):
+        report = self._awkward_report(**kwargs)
+        assert any(not entry.flags for entry in report.entries)
+        assert any(entry.vector.degenerate for entry in report.entries)
+        assert render_json(report) == _reference_json(report)
+
+    def test_empty_corpus_equals_reference(self):
+        report = make_report(requirements=[])
+        assert render_json(report) == _reference_json(report)
+        assert json.loads(render_json(report))["requirements"] == []
 
 
 class TestRenderCsv:
