@@ -32,7 +32,6 @@ from .metrics import (
     MatchSpan,
     MetricVector,
     ReadabilityStats,
-    analyze_requirement,
     analyze_text,
     compute_readability,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "Sentence",
     "ThresholdRule",
     "Token",
-    "analyze_requirement",
     "analyze_text",
     "apply_thresholds",
     "build_report",

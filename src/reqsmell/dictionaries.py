@@ -12,14 +12,11 @@ and its tokens are consumed, so patterns of one metric never overlap. A
 literal pattern beats a participle-slot pattern of the same length.
 """
 
-from __future__ import annotations
-
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import MalformedDictionaryError
-from .text import normalize, tokenize
+from .errors import MalformedDictionaryError, ValidatedTuple
+from .text import _TOKEN_RE, normalize
 
 # Metric identifiers, in report order. These are part of the file-format and
 # report contracts (section headers, CSV columns), not abbreviations of ours.
@@ -103,15 +100,18 @@ def is_participle(word: str) -> bool:
     return word.endswith(("ed", "en")) or word in IRREGULAR_PARTICIPLES
 
 
-@dataclass(frozen=True)
-class PhrasePattern:
-    """One dictionary entry: literal tokens, optionally ending in a
-    past-participle slot that matches exactly one additional token."""
-
+class _PhrasePatternFields(NamedTuple):
     tokens: tuple[str, ...]
     participle_slot: bool = False
 
-    def __post_init__(self) -> None:
+
+class PhrasePattern(ValidatedTuple, _PhrasePatternFields):
+    """One dictionary entry: literal tokens, optionally ending in a
+    past-participle slot that matches exactly one additional token."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if not self.tokens or any(not tok for tok in self.tokens):
             raise ValueError("pattern tokens must be non-empty")
 
@@ -126,15 +126,18 @@ class PhrasePattern:
         return " ".join(self.tokens) + suffix
 
 
-@dataclass(frozen=True)
-class Dictionary:
-    """A named metric's pattern set and where it came from."""
-
+class _DictionaryFields(NamedTuple):
     metric_id: str
     patterns: frozenset[PhrasePattern]
     origin: str = BUILTIN
 
-    def __post_init__(self) -> None:
+
+class Dictionary(ValidatedTuple, _DictionaryFields):
+    """A named metric's pattern set and where it came from."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if self.metric_id not in DICTIONARY_METRICS:
             raise ValueError(f"unknown metric id {self.metric_id!r}")
         if not self.patterns:
@@ -145,8 +148,7 @@ class Dictionary:
 
 
 def _phrase_pattern(phrase: str, participle_slot: bool = False) -> PhrasePattern:
-    tokens = tuple(tok.text for tok in tokenize(normalize(phrase)))
-    return PhrasePattern(tokens, participle_slot)
+    return PhrasePattern(tuple(_TOKEN_RE.findall(normalize(phrase))), participle_slot)
 
 
 def _builtin(metric_id: str, phrases: Iterable[str],
@@ -251,7 +253,7 @@ def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
         raise MalformedDictionaryError(
             f"{PARTICIPLE_MARKER} is only allowed at the end of a phrase", lineno
         )
-    tokens = tuple(tok.text for tok in tokenize(normalize(" ".join(literal_fields))))
+    tokens = tuple(_TOKEN_RE.findall(normalize(" ".join(literal_fields))))
     if not tokens:
         raise MalformedDictionaryError("empty phrase", lineno)
     return PhrasePattern(tokens, slot)

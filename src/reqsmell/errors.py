@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the mixin that makes
+value types reject invalid fields.
 
 All expected failure modes derive from :class:`ReqsmellError` so the CLI
 can catch one base class and turn it into a diagnostic plus exit code 1.
@@ -58,3 +59,26 @@ class EncodingError(CorpusError):
     def __init__(self, row: int, detail: str):
         super().__init__(f"row {row}: invalid UTF-8 ({detail})")
         self.row = row
+
+
+class ValidatedTuple:
+    """Mixin for a ``NamedTuple`` subclass whose ``_validate`` raises
+    ``ValueError`` on invalid fields.
+
+    Validation runs on every construction path: the constructor and
+    ``_make``, which ``_replace`` goes through. Subclasses declare
+    ``__slots__ = ()`` so instances stay immutable.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        self = super()._make(iterable)
+        self._validate()
+        return self

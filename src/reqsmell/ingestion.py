@@ -6,12 +6,12 @@ quoting applies, so delimiters and newlines inside quoted fields are fine.
 Rows are numbered by record: the header is record 1.
 """
 
-from __future__ import annotations
-
 import csv
+import io
 import os
 import warnings
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import (
     CorpusError,
@@ -19,6 +19,7 @@ from .errors import (
     EncodingError,
     MissingColumnError,
     RowArityError,
+    ValidatedTuple,
 )
 
 
@@ -31,15 +32,18 @@ class EmptyCorpusWarning(UserWarning):
     """The file parsed fine but contained no data rows."""
 
 
-@dataclass(frozen=True)
-class ColumnMapping:
-    """Which columns hold the requirement id and text, and the delimiter."""
-
+class _ColumnMappingFields(NamedTuple):
     id_column: str = "ID"
     text_column: str = "Text"
     delimiter: str = ","
 
-    def __post_init__(self) -> None:
+
+class ColumnMapping(ValidatedTuple, _ColumnMappingFields):
+    """Which columns hold the requirement id and text, and the delimiter."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if self.id_column == self.text_column:
             raise ValueError("id column and text column must differ")
         if len(self.delimiter) != 1:
@@ -50,14 +54,13 @@ class ColumnMapping:
             )
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(NamedTuple):
     """One requirement as read from the input file."""
 
     id: str
     text: str
     row: int
-    extra: dict[str, str] = field(default_factory=dict)
+    extra: Mapping[str, str] = MappingProxyType({})
 
 
 def _column_index(header: list[str], name: str) -> int:
@@ -67,6 +70,36 @@ def _column_index(header: list[str], name: str) -> int:
     if len(hits) > 1:
         raise CorpusError(f"column {name!r} appears {len(hits)} times in header")
     return hits[0]
+
+
+def _locate_decode_error(path: str | os.PathLike[str], delimiter: str) -> CorpusError | None:
+    """The error for the first invalid UTF-8 sequence in ``path``, naming
+    the record that holds it; ``None`` if the file now decodes.
+
+    The text reader decodes ahead of the CSV parser, so the parser's record
+    count at a decode error can fall short. This reads the file again and
+    counts the records before the bad bytes. It runs on the error path only.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        prefix = data[: exc.start].decode("utf-8").removeprefix("\ufeff")
+        reason = exc.reason
+    else:
+        return None
+    # The sentinel joins a record the bad bytes interrupt, and starts a new
+    # one where they start a record, so the count includes their record.
+    reader = csv.reader(io.StringIO(prefix + "x", newline=""), delimiter=delimiter)
+    records = 0
+    try:
+        for _ in reader:
+            records += 1
+    except csv.Error as exc:
+        # A malformed record before the bad bytes is the first fault.
+        return CorpusError(f"row {records + 1}: {exc}")
+    return EncodingError(records, reason)
 
 
 def load_requirements(
@@ -85,7 +118,9 @@ def load_requirements(
     seen_ids: dict[str, int] = {}
     record = 0  # records read so far
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle, delimiter=mapping.delimiter)
+        # strict: an unterminated quote or text after a closing quote is an
+        # error, not a field that silently runs on.
+        reader = csv.reader(handle, delimiter=mapping.delimiter, strict=True)
         try:
             header = next(reader, None)
             if header is None:
@@ -114,7 +149,8 @@ def load_requirements(
                     Requirement(id=requirement_id, text=row[text_index], row=record, extra=extra)
                 )
         except UnicodeDecodeError as exc:
-            raise EncodingError(record + 1, exc.reason) from exc
+            error = _locate_decode_error(path, mapping.delimiter)
+            raise (error or EncodingError(record + 1, exc.reason)) from exc
         except csv.Error as exc:
             raise CorpusError(f"row {record + 1}: {exc}") from exc
     if not requirements:

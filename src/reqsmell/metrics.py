@@ -11,16 +11,10 @@ ARI here is average words per sentence plus nine times average letters per
 word; empty text yields a degenerate all-zero vector instead of an error.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .dictionaries import DICTIONARY_METRICS, Dictionary, PhraseMatcher, builtin_dictionaries
 from .text import normalize, scan
-
-if TYPE_CHECKING:
-    from .ingestion import Requirement
 
 # All reported metrics, in report order.
 ALL_METRICS = DICTIONARY_METRICS + ("NW", "ARI")
@@ -49,8 +43,7 @@ class ReadabilityStats(NamedTuple):
         return self.words_per_sentence + 9.0 * self.letters_per_word
 
 
-@dataclass(frozen=True)
-class MetricVector:
+class MetricVector(NamedTuple):
     """The nine metric values for one requirement, plus match evidence."""
 
     counts: Mapping[str, int]
@@ -73,15 +66,14 @@ class MetricVector:
         return {metric: self.value(metric) for metric in ALL_METRICS}
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     """Immutable bundle of the seven dictionaries and their merged matcher."""
 
     dictionaries: Mapping[str, Dictionary]
     matcher: PhraseMatcher
 
     @classmethod
-    def from_dictionaries(cls, dictionaries: Mapping[str, Dictionary]) -> AnalysisConfig:
+    def from_dictionaries(cls, dictionaries: Mapping[str, Dictionary]) -> "AnalysisConfig":
         missing = [m for m in DICTIONARY_METRICS if m not in dictionaries]
         if missing:
             raise ValueError(f"missing dictionaries for metrics: {', '.join(missing)}")
@@ -89,7 +81,7 @@ class AnalysisConfig:
         return cls(dict(dictionaries), matcher)
 
     @classmethod
-    def default(cls) -> AnalysisConfig:
+    def default(cls) -> "AnalysisConfig":
         return cls.from_dictionaries(builtin_dictionaries())
 
 
@@ -141,8 +133,3 @@ def analyze_text(text: str, config: AnalysisConfig) -> MetricVector:
         spans=tuple(spans),
         readability=readability,
     )
-
-
-def analyze_requirement(requirement: Requirement, config: AnalysisConfig) -> MetricVector:
-    """Convenience wrapper: analyze a loaded requirement's text."""
-    return analyze_text(requirement.text, config)

@@ -6,18 +6,15 @@ convention. No thresholds ship by default; raw metric values are always
 reported and flags only appear when the user supplies rules.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .dictionaries import DICTIONARY_METRICS, Dictionary
-from .errors import MalformedThresholdError
+from .dictionaries import DICTIONARY_METRICS
+from .errors import MalformedThresholdError, ValidatedTuple
 from .ingestion import ColumnMapping, Requirement
 from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 
@@ -28,15 +25,18 @@ REPORT_FORMATS = ("json", "csv", "table")
 _COMPARATORS = (">", ">=")
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Flag a requirement when ``metric value OP limit`` holds."""
-
+class _ThresholdRuleFields(NamedTuple):
     metric_id: str
     comparator: str
     limit: float
 
-    def __post_init__(self) -> None:
+
+class ThresholdRule(ValidatedTuple, _ThresholdRuleFields):
+    """Flag a requirement when ``metric value OP limit`` holds."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if self.metric_id not in ALL_METRICS:
             raise ValueError(f"unknown metric {self.metric_id!r}")
         if self.comparator not in _COMPARATORS:
@@ -106,8 +106,7 @@ class DictionaryInfo(NamedTuple):
     pattern_count: int
 
 
-@dataclass(frozen=True)
-class ReportConfig:
+class ReportConfig(NamedTuple):
     """Snapshot of everything that shaped the analysis."""
 
     dictionaries: Mapping[str, DictionaryInfo]
@@ -116,8 +115,7 @@ class ReportConfig:
     timestamp: str | None = None
 
 
-@dataclass(frozen=True)
-class RequirementEntry:
+class RequirementEntry(NamedTuple):
     """Per-requirement results: metric vector, flags, warnings."""
 
     id: str
@@ -132,16 +130,14 @@ class MetricSummary(NamedTuple):
     maximum: float
 
 
-@dataclass(frozen=True)
-class ReportSummary:
+class ReportSummary(NamedTuple):
     requirement_count: int
     flagged_count: int
     degenerate_count: int
     metrics: Mapping[str, MetricSummary]
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     tool: str
     version: str
     config: ReportConfig

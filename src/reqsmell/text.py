@@ -4,8 +4,6 @@ Every metric in the package consumes the output of these functions, so all
 of them are pure and produce identical results for identical inputs.
 """
 
-from __future__ import annotations
-
 import re
 import unicodedata
 from typing import NamedTuple

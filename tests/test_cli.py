@@ -3,12 +3,16 @@
 import csv
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import reqsmell
 from reqsmell import __version__
 from reqsmell.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, main, run
 
@@ -182,6 +186,14 @@ class TestErrorPaths:
         assert run(["--input", str(corpus), "--thresholds", str(bad)]) == EXIT_ERROR
         assert "line 1" in capsys.readouterr().err
 
+    def test_unterminated_quote(self, tmp_path, capsys):
+        path = tmp_path / "corpus.csv"
+        path.write_text('ID,Text\nR1,"unterminated\nR2,second row\nR3,third\n', encoding="utf-8")
+        assert run(["--input", str(path), "--format", "csv"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: row 2: unexpected end of data\n"
+        assert captured.out == ""
+
     def test_malformed_dictionary(self, corpus, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("[NOPE]\nx\n", encoding="utf-8")
@@ -251,3 +263,36 @@ class TestModuleInvocation:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "id,V,NR1,NR2,O,S,W,NC,NW,ARI,flags"
+
+    def test_import_creates_classes_without_compiling(self):
+        # dataclasses and the modules it imports cost more than the rest of
+        # the package, and string annotations on a NamedTuple are compiled
+        # through typing.ForwardRef. Only the import system may compile,
+        # and only the package's source files.
+        code = textwrap.dedent("""
+            import builtins, sys
+            compiled = []
+            real_compile = builtins.compile
+            def compile(source, filename, *args, **kwargs):
+                compiled.append(str(filename))
+                return real_compile(source, filename, *args, **kwargs)
+            builtins.compile = compile
+            import reqsmell.cli
+            print(sorted({"dataclasses", "inspect", "ast", "dis"} & set(sys.modules)))
+            print([name for name in compiled if not name.endswith(".py")])
+        """)
+        package_root = str(Path(reqsmell.__file__).parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": package_root},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n[]\n"
+
+    def test_version_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject.read_text(), re.M | re.S)
+        version = re.search(r'^version\s*=\s*"([^"]+)"', project.group(1), re.M)
+        assert version.group(1) == __version__

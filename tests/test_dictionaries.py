@@ -15,6 +15,7 @@ from reqsmell.dictionaries import (
     load_dictionary_file,
 )
 from reqsmell.errors import MalformedDictionaryError
+from reqsmell.text import normalize, tokenize
 
 from oracle import naive_scan
 
@@ -85,6 +86,26 @@ class TestPatternTypes:
         })
         with pytest.raises(ValueError):
             Dictionary("V", patterns)
+
+    def test_make_and_replace_validate(self):
+        pattern = PhrasePattern(("may",))
+        with pytest.raises(ValueError):
+            PhrasePattern._make(((), False))
+        with pytest.raises(ValueError):
+            pattern._replace(tokens=("ok", ""))
+        dictionary = Dictionary("O", frozenset({pattern}))
+        with pytest.raises(ValueError):
+            Dictionary._make(("Q", frozenset({pattern}), USER_FILE))
+        with pytest.raises(ValueError):
+            dictionary._replace(patterns=frozenset())
+        assert dictionary._replace(origin=USER_FILE) == Dictionary("O", frozenset({pattern}), USER_FILE)
+
+    def test_types_are_immutable(self):
+        pattern = PhrasePattern(("may",))
+        with pytest.raises(AttributeError):
+            pattern.participle_slot = True
+        with pytest.raises(AttributeError):
+            pattern.note = "new attribute"
 
 
 class TestParticipleHeuristic:
@@ -205,6 +226,24 @@ class TestLoader:
         second = load_dictionary_file(rewritten)
         for metric in DICTIONARY_METRICS:
             assert second[metric].patterns == first[metric].patterns
+
+
+class TestPhraseParsing:
+    def test_loaded_phrases_equal_tokenize_parse(self, tmp_path):
+        # Slots, hyphens, apostrophes, terminators and non-ASCII letters.
+        lines = [
+            "Should-Have <PP>", "must have <pp>", "don't ever", "re-use; as such",
+            "see ref. 3!", "it’s  Café", "up-to-date?", "x_y z",
+        ]
+        path = tmp_path / "dict.txt"
+        path.write_text("[V]\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        expected = set()
+        for line in lines:
+            fields = line.split()
+            slot = fields[-1].upper() == "<PP>"
+            text = normalize(" ".join(fields[:-1] if slot else fields))
+            expected.add(PhrasePattern(tuple(tok.text for tok in tokenize(text)), slot))
+        assert load_dictionary_file(path)["V"].patterns == frozenset(expected)
 
 
 class TestMatcher:

@@ -128,6 +128,44 @@ class TestErrors:
         with pytest.raises(EncodingError):
             load_requirements(path, DEFAULT)
 
+    def test_invalid_utf8_names_its_record(self, tmp_path):
+        # The decoder reads ahead of the parser; the row must still be the
+        # record holding the bad byte, here in a quoted multi-line field.
+        rows = [f'R{i},"requirement {i} text,\nsecond line"' for i in range(2, 602)]
+        rows[449] = 'R451,"caf\udce9 crème"'  # \udce9 is written as the bare byte 0xE9
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(("ID,Text\n" + "\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+        with pytest.raises(EncodingError) as info:
+            load_requirements(path, DEFAULT)
+        assert info.value.row == 451
+        assert "row 451" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "content, row",
+        [
+            (b"\xff\xfeID,Text\nR1,x\n", 1),
+            (b"\xef\xbb\xbfID,Text\nR1,x\n\xe9R2,y\n", 3),
+            (b"ID,Text\r\nR1,x\r\n\xe9", 3),
+            (b"ID,Text\nR1,\"open\n\nstill open \xe9\"\n", 2),
+        ],
+    )
+    def test_invalid_utf8_row_at_record_edges(self, tmp_path, content, row):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(content)
+        with pytest.raises(EncodingError) as info:
+            load_requirements(path, DEFAULT)
+        assert info.value.row == row
+
+    def test_unterminated_quote(self, tmp_path):
+        path = write(tmp_path, 'ID,Text\nR1,"unterminated\nR2,second row\nR3,third\n')
+        with pytest.raises(CorpusError, match="row 2: unexpected end of data"):
+            load_requirements(path, DEFAULT)
+
+    def test_text_after_closing_quote(self, tmp_path):
+        path = write(tmp_path, 'ID,Text\nR1,ok\nR2,"ab"c\n')
+        with pytest.raises(CorpusError, match="row 3"):
+            load_requirements(path, DEFAULT)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_requirements(tmp_path / "absent.csv", DEFAULT)
@@ -150,6 +188,13 @@ class TestColumnMapping:
     def test_rejects_quote_and_line_break_delimiters(self, delimiter):
         with pytest.raises(ValueError, match="quote character or a line break"):
             ColumnMapping(delimiter=delimiter)
+
+    def test_make_and_replace_validate(self):
+        with pytest.raises(ValueError):
+            ColumnMapping._make(("ID", "Text", "::"))
+        with pytest.raises(ValueError):
+            DEFAULT._replace(text_column="ID")
+        assert DEFAULT._replace(delimiter=";") == ColumnMapping(delimiter=";")
 
 
 class TestEmptyCorpus:

@@ -1,7 +1,6 @@
 """Unit tests for thresholds, summaries, and the three report renderers."""
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -65,6 +64,14 @@ class TestThresholdRule:
     def test_rejects_non_finite_limit(self, limit):
         with pytest.raises(ValueError, match="finite"):
             ThresholdRule("V", ">=", limit)
+
+    def test_make_and_replace_validate(self):
+        with pytest.raises(ValueError):
+            ThresholdRule._make(("V", ">", -1))
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdRule("V", ">", 1)._replace(limit=float("nan"))
+        with pytest.raises(AttributeError):
+            ThresholdRule("V", ">", 1).limit = 2
 
 
 class TestParseThresholdRules:
@@ -279,11 +286,11 @@ class TestRenderJsonEncoding:
         spans += (MatchSpan("V", self.AWKWARD, 0, 1),)
         entry = RequirementEntry(
             id=self.AWKWARD,
-            vector=dataclasses.replace(vector, spans=spans),
+            vector=vector._replace(spans=spans),
             flags=("V", "ARI"),
             warnings=(self.AWKWARD,),
         )
-        return dataclasses.replace(report, entries=report.entries + (entry,))
+        return report._replace(entries=report.entries + (entry,))
 
     @pytest.mark.parametrize(
         "kwargs",
