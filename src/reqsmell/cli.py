@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import os
 import sys
-import tempfile
 import warnings
 from typing import Sequence
 
@@ -60,6 +60,9 @@ def _write_output(payload: bytes, output: str | None) -> None:
         return
     # Write via a temp file and rename, so a failed run never leaves a
     # partial report and an existing file survives untouched on error.
+    # tempfile is imported here because only this path needs it.
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(output))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".reqsmell-")
     try:
@@ -127,4 +130,9 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # A run allocates many short-lived tuples and builds no reference cycles
+    # that grow with the input (a constant few from argparse and json), so
+    # the cyclic collector would only rescan live objects. The process
+    # ends after one run, which keeps this out of run() and its callers.
+    gc.disable()
     sys.exit(run())

@@ -2,9 +2,9 @@
 
 Each metric with a keyword list gets one :class:`Dictionary` of compiled
 :class:`PhrasePattern` entries; one :class:`PhraseMatcher` serves all of
-them with a single trie walk per token position. The built-in lists ship
-with the package; a user-supplied override file can replace any of them
-per metric.
+them with one call per text and one trie walk per position where a phrase
+can start. The built-in lists ship with the package; a user-supplied
+override file can replace any of them per metric.
 
 Matching semantics (shared by the matcher and all its tests): scan a token
 sequence left to right; at each position the longest matching pattern wins
@@ -13,6 +13,8 @@ literal pattern beats a participle-slot pattern of the same length.
 """
 
 import os
+from itertools import compress, repeat
+from operator import is_not, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedDictionaryError, ValidatedTuple
@@ -112,7 +114,7 @@ class PhrasePattern(ValidatedTuple, _PhrasePatternFields):
     __slots__ = ()
 
     def _validate(self) -> None:
-        if not self.tokens or any(not tok for tok in self.tokens):
+        if not self.tokens or "" in self.tokens:
             raise ValueError("pattern tokens must be non-empty")
 
     @property
@@ -171,89 +173,130 @@ def builtin_dictionaries() -> dict[str, Dictionary]:
     }
 
 
-class _TrieNode:
-    """One token position in the merged trie.
+class _TrieNode(dict):
+    """One token position in the merged trie: a dict from the next token to
+    the child node, plus two precomputed tables for the root-to-node path.
 
-    ``literals`` and ``slots`` hold (metric, text) pairs for the patterns of
-    each metric that end here: the literal's phrase, or the slot pattern's
-    phrase prefix including the space before the participle.
+    ``winners`` holds, for each metric with a literal pattern ending on the
+    path, its longest one as (metric index, length, metric, phrase).
+    ``slots`` holds every participle-slot pattern ending on the path as
+    (prefix length, metric index, metric, phrase prefix including the space
+    before the participle), shallowest first; it is empty unless the path
+    carries a slot. A node without patterns of its own shares its parent's
+    tables.
     """
 
-    __slots__ = ("children", "literals", "slots")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.literals: tuple[tuple[str, str], ...] = ()
-        self.slots: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("winners", "slots")
 
 
 class PhraseMatcher:
-    """One token trie over several dictionaries, scanned once per sentence.
+    """One token trie over several dictionaries, scanned once per text.
 
     ``find_matches`` applies the scan described in the module docstring to
-    every metric at once and returns (metric, start, end, phrase) tuples
-    with half-open token ranges, ordered by start. For a participle-slot
-    match the phrase includes the concrete participle token.
+    every metric at once, within each sentence, and returns one list per
+    metric (in the order of ``dictionaries``) of (metric, phrase, start,
+    end) tuples with half-open token ranges, ordered by start. For a
+    participle-slot match the phrase includes the concrete participle token.
     """
 
     def __init__(self, dictionaries: Mapping[str, Dictionary]):
-        self._root = _TrieNode()
-        for metric, dictionary in dictionaries.items():
-            for pattern in dictionary.patterns:
-                node = self._root
-                for token in pattern.tokens:
-                    child = node.children.get(token)
-                    if child is None:
-                        child = node.children[token] = _TrieNode()
-                    node = child
-                if pattern.participle_slot:
-                    node.slots += ((metric, " ".join(pattern.tokens) + " "),)
+        self._root = root = _TrieNode()
+        root.winners = ()
+        root.slots = ()
+        self._metric_count = len(dictionaries)
+        entries = [
+            (len(pattern.tokens), index, metric, pattern)
+            for index, (metric, dictionary) in enumerate(dictionaries.items())
+            for pattern in dictionary.patterns
+        ]
+        # Shorter patterns first: a node then gets all its own patterns
+        # before it has children, so each child can copy its parent's tables.
+        entries.sort(key=itemgetter(0))
+        for depth, index, metric, pattern in entries:
+            node = root
+            for token in pattern.tokens:
+                child = node.get(token)
+                if child is None:
+                    child = node[token] = _TrieNode()
+                    child.winners = node.winners
+                    child.slots = node.slots
+                node = child
+            text = " ".join(pattern.tokens)
+            if pattern.participle_slot:
+                node.slots += ((depth, index, metric, text + " "),)
+            else:
+                entry = (index, depth, metric, text)
+                if node.winners:
+                    node.winners = (entry,) + tuple(
+                        other for other in node.winners if other[0] != index
+                    )
                 else:
-                    node.literals += ((metric, pattern.phrase),)
+                    node.winners = (entry,)
 
-    def find_matches(self, words: Sequence[str]) -> list[tuple[str, int, int, str]]:
-        matches: list[tuple[str, int, int, str]] = []
-        first_nodes = self._root.children
-        total = len(words)
-        resume: dict[str, int] = {}  # per metric, the first unconsumed position
-        for i, word in enumerate(words):
-            node = first_nodes.get(word)
-            if node is None:
-                continue
-            # Walk once, keeping each metric's latest candidate. Candidate
-            # ends never decrease along the walk and a literal ending at j
-            # comes after a slot ending at j, so the last one seen is the
-            # longest, and the literal on a tie.
-            best: dict[str, tuple[int, str]] = {}
+    def find_matches(
+        self, words: Sequence[str], sentences: Iterable[tuple[int, int]]
+    ) -> list[list[tuple[str, str, int, int]]]:
+        """Matches in ``words`` cut into ``sentences``, half-open ranges of
+        word indices that partition ``words`` in order."""
+        found: list[list[tuple[str, str, int, int]]] = [[] for _ in range(self._metric_count)]
+        resume = [0] * self._metric_count  # per metric, the first unconsumed index
+        nodes = list(map(self._root.get, words))
+        bounds = iter(sentences)
+        end = 0
+        # A leaf node is an empty dict, so test hits against None, not truth.
+        for i in compress(range(len(words)), map(is_not, nodes, repeat(None))):
+            while end <= i:
+                end = next(bounds)[1]
+            node = nodes[i]
             j = i + 1
-            while True:
-                for metric, phrase in node.literals:
-                    best[metric] = (j, phrase)
-                if node.slots and j < total and is_participle(words[j]):
-                    for metric, prefix in node.slots:
-                        best[metric] = (j + 1, prefix + words[j])
-                if j == total:
+            while j < end:
+                child = node.get(words[j])
+                if child is None:
                     break
-                node = node.children.get(words[j])
-                if node is None:
-                    break
+                node = child
                 j += 1
-            for metric, (end, phrase) in best.items():
-                if resume.get(metric, 0) <= i:
-                    matches.append((metric, i, end, phrase))
-                    resume[metric] = end
-        return matches
+            winners = node.winners
+            if node.slots:
+                winners = _with_slots(winners, node.slots, words, i, end)
+            for index, length, metric, phrase in winners:
+                if resume[index] <= i:
+                    found[index].append((metric, phrase, i, i + length))
+                    resume[index] = i + length
+        return found
+
+
+def _with_slots(
+    winners: tuple[tuple[int, int, str, str], ...],
+    slots: tuple[tuple[int, int, str, str], ...],
+    words: Sequence[str],
+    i: int,
+    end: int,
+) -> Iterable[tuple[int, int, str, str]]:
+    """``winners`` updated with the slot patterns whose participle is
+    present; a slot beats a literal only when longer."""
+    best = {entry[0]: entry for entry in winners}
+    for depth, index, metric, prefix in slots:
+        k = i + depth
+        if k < end and is_participle(words[k]):
+            entry = best.get(index)
+            if entry is None or entry[1] <= depth:
+                best[index] = (index, depth + 1, metric, prefix + words[k])
+    return best.values()
 
 
 def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
     fields = line.split()
-    slot = fields[-1].upper() == PARTICIPLE_MARKER
-    literal_fields = fields[:-1] if slot else fields
-    if any(f.upper() == PARTICIPLE_MARKER for f in literal_fields):
-        raise MalformedDictionaryError(
-            f"{PARTICIPLE_MARKER} is only allowed at the end of a phrase", lineno
-        )
-    tokens = tuple(_TOKEN_RE.findall(normalize(" ".join(literal_fields))))
+    slot = False
+    # Most lines hold no marker; only those that do need the field checks.
+    if PARTICIPLE_MARKER in line.upper():
+        slot = fields[-1].upper() == PARTICIPLE_MARKER
+        if slot:
+            fields.pop()
+        if any(f.upper() == PARTICIPLE_MARKER for f in fields):
+            raise MalformedDictionaryError(
+                f"{PARTICIPLE_MARKER} is only allowed at the end of a phrase", lineno
+            )
+    tokens = tuple(_TOKEN_RE.findall(normalize(" ".join(fields))))
     if not tokens:
         raise MalformedDictionaryError("empty phrase", lineno)
     return PhrasePattern(tokens, slot)

@@ -10,8 +10,7 @@ import csv
 import io
 import os
 import warnings
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     CorpusError,
@@ -60,7 +59,6 @@ class Requirement(NamedTuple):
     id: str
     text: str
     row: int
-    extra: Mapping[str, str] = MappingProxyType({})
 
 
 def _column_index(header: list[str], name: str) -> int:
@@ -105,7 +103,8 @@ def _locate_decode_error(path: str | os.PathLike[str], delimiter: str) -> Corpus
 def load_requirements(
     path: str | os.PathLike[str], mapping: ColumnMapping
 ) -> list[Requirement]:
-    """Read one requirement per data row, in file order.
+    """Read one requirement per data row, in file order; columns other than
+    the id and text columns are accepted and ignored.
 
     Raises :class:`MissingColumnError`, :class:`DuplicateIdError`,
     :class:`RowArityError`, :class:`EncodingError`, or :class:`CorpusError`
@@ -140,14 +139,7 @@ def load_requirements(
                 if requirement_id in seen_ids:
                     raise DuplicateIdError(requirement_id, seen_ids[requirement_id], record)
                 seen_ids[requirement_id] = record
-                extra = {
-                    column: value
-                    for i, (column, value) in enumerate(zip(header, row))
-                    if i not in (id_index, text_index)
-                }
-                requirements.append(
-                    Requirement(id=requirement_id, text=row[text_index], row=record, extra=extra)
-                )
+                requirements.append(Requirement(requirement_id, row[text_index], record))
         except UnicodeDecodeError as exc:
             error = _locate_decode_error(path, mapping.delimiter)
             raise (error or EncodingError(record + 1, exc.reason)) from exc

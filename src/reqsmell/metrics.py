@@ -11,6 +11,8 @@ ARI here is average words per sentence plus nine times average letters per
 word; empty text yields a degenerate all-zero vector instead of an error.
 """
 
+from functools import partial
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 from .dictionaries import DICTIONARY_METRICS, Dictionary, PhraseMatcher, builtin_dictionaries
@@ -27,6 +29,11 @@ class MatchSpan(NamedTuple):
     phrase: str
     start: int
     end: int
+
+
+# MatchSpan from a (metric, phrase, start, end) tuple, without a Python-level
+# __new__ call per span.
+_match_span = partial(tuple.__new__, MatchSpan)
 
 
 class ReadabilityStats(NamedTuple):
@@ -102,34 +109,19 @@ def analyze_text(text: str, config: AnalysisConfig) -> MetricVector:
     """Compute the full metric vector for one requirement text.
 
     Each sentence is scanned independently (greedy, longest match wins,
-    matched tokens consumed), so a phrase never straddles a boundary. Span
+    matched tokens consumed), so a phrase never straddles a boundary; one
+    matcher call covers all sentences and all seven dictionaries. Span
     indices refer to the full token sequence; spans are ordered by metric
     in report order, then by position.
     """
     words, sentences, letter_count = scan(normalize(text))
     readability = compute_readability(len(words), len(sentences), letter_count)
-    if not words:
-        return MetricVector(
-            counts={metric: 0 for metric in DICTIONARY_METRICS},
-            word_count=0,
-            ari=0.0,
-            degenerate=True,
-            spans=(),
-            readability=readability,
-        )
-    by_metric: dict[str, list[MatchSpan]] = {metric: [] for metric in DICTIONARY_METRICS}
-    find_matches = config.matcher.find_matches
-    for first, last in sentences:
-        for metric, start, end, phrase in find_matches(words[first:last]):
-            by_metric[metric].append(MatchSpan(metric, phrase, first + start, first + end))
-    spans: list[MatchSpan] = []
-    for found in by_metric.values():
-        spans += found
+    found = config.matcher.find_matches(words, sentences)
     return MetricVector(
-        counts={metric: len(found) for metric, found in by_metric.items()},
+        counts=dict(zip(DICTIONARY_METRICS, map(len, found))),
         word_count=len(words),
         ari=readability.ari,
-        degenerate=False,
-        spans=tuple(spans),
+        degenerate=not words,
+        spans=tuple(map(_match_span, chain.from_iterable(found))),
         readability=readability,
     )

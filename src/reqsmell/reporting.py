@@ -8,10 +8,9 @@ reported and flags only appear when the user supplies rules.
 
 import csv
 import io
-import json
 import math
 import os
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dictionaries import DICTIONARY_METRICS
 from .errors import MalformedThresholdError, ValidatedTuple
@@ -255,6 +254,10 @@ def render_json(report: AnalysisReport) -> bytes:
     is pure Python. The requirements array has a fixed schema and is written
     from templates, with each string leaf through the C string encoder.
     """
+    # Imported here, not at module level: only this format needs json.
+    import json
+    from json.encoder import encode_basestring
+
     head = {
         "tool": report.tool,
         "version": report.version,
@@ -274,17 +277,15 @@ def render_json(report: AnalysisReport) -> bytes:
     parts = [text[:-2], ',\n  "requirements": ']
     if report.entries:
         parts.append("[\n")
-        parts.append(",\n".join(_requirement_json(entry) for entry in report.entries))
+        parts.append(",\n".join(
+            _requirement_json(entry, encode_basestring) for entry in report.entries
+        ))
         parts.append("\n  ]")
     else:
         parts.append("[]")
     parts.append("\n}\n")
     return "".join(parts).encode("utf-8")
 
-
-# Leaves are written as json.dumps writes them: strings with the encoder it
-# uses for ensure_ascii=False, ints with str and floats with repr.
-_encode = json.encoder.encode_basestring
 
 _METRICS_JSON = ",\n".join(f'        "{metric}": {{}}' for metric in ALL_METRICS)
 
@@ -305,18 +306,21 @@ def _array_json(items: Sequence[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n      ]"
 
 
-def _requirement_json(entry: RequirementEntry) -> str:
+def _requirement_json(entry: RequirementEntry, encode: Callable[[str], str]) -> str:
+    # Leaves are written as json.dumps writes them: strings with ``encode``,
+    # the encoder it uses for ensure_ascii=False, ints with str and floats
+    # with repr.
     vector = entry.vector
     values = [_metric_cell(vector.value(metric)) for metric in ALL_METRICS]
     spans = _array_json([
-        _SPAN_JSON.format(_encode(span.metric), _encode(span.phrase), span.start, span.end)
+        _SPAN_JSON.format(encode(span.metric), encode(span.phrase), span.start, span.end)
         for span in vector.spans
     ])
-    flags = _array_json(["        " + _encode(flag) for flag in entry.flags])
-    warnings = _array_json(["        " + _encode(warning) for warning in entry.warnings])
+    flags = _array_json(["        " + encode(flag) for flag in entry.flags])
+    warnings = _array_json(["        " + encode(warning) for warning in entry.warnings])
     return (
         "    {\n"
-        f'      "id": {_encode(entry.id)},\n'
+        f'      "id": {encode(entry.id)},\n'
         f'      "metrics": {{\n{_METRICS_JSON.format(*values)}\n      }},\n'
         f'      "spans": {spans},\n'
         f'      "flags": {flags},\n'

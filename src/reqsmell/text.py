@@ -6,6 +6,8 @@ of them are pure and produce identical results for identical inputs.
 
 import re
 import unicodedata
+from functools import partial
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 # A token is a maximal run of alphanumeric characters; apostrophes and
@@ -15,6 +17,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
 
 # A sentence boundary is a run of terminator characters.
 _TERMINATOR_RE = re.compile(r"[.!?;]+")
+
+# Characters outside ASCII, one match each, for the letter count.
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 _ASCII_LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
@@ -37,6 +42,10 @@ class Sentence(NamedTuple):
     @property
     def token_count(self) -> int:
         return self.end - self.start
+
+
+# Sentence from a (start, end) pair, without a Python-level __new__ call.
+_sentence = partial(tuple.__new__, Sentence)
 
 
 def normalize(text: str) -> str:
@@ -99,20 +108,15 @@ def scan(text: str) -> tuple[list[str], list[Sentence], int]:
     can be counted over the whole text because every alphabetic character
     lies inside some token.
     """
-    words: list[str] = []
-    sentences: list[Sentence] = []
-    find_words = _TOKEN_RE.findall
-    for segment in _TERMINATOR_RE.split(text):
-        found = find_words(segment)
-        if found:
-            first = len(words)
-            words += found
-            sentences.append(Sentence(first, len(words)))
-    if text.isascii():
-        # The same count as the per-character test below, about ten times
-        # faster: ASCII letters are the only alphabetic ASCII characters.
-        raw = text.encode("ascii")
-        letters = len(raw) - len(raw.translate(None, _ASCII_LETTERS))
-    else:
-        letters = sum(map(str.isalpha, text))
+    segments = list(filter(None, map(_TOKEN_RE.findall, _TERMINATOR_RE.split(text))))
+    ends = list(accumulate(map(len, segments)))
+    sentences = list(map(_sentence, zip([0] + ends, ends)))
+    words = list(chain.from_iterable(segments))
+    raw = text.encode("ascii", "ignore")
+    # ASCII letters are the only alphabetic ASCII characters, so bytes count
+    # them about ten times faster than str.isalpha; only the other
+    # characters need the Unicode test.
+    letters = len(raw) - len(raw.translate(None, _ASCII_LETTERS))
+    if not text.isascii():
+        letters += sum(map(str.isalpha, _NON_ASCII_RE.findall(text)))
     return words, sentences, letters

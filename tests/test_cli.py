@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import gc
 import json
 import os
 import re
@@ -27,6 +28,13 @@ def corpus(tmp_path):
         encoding="utf-8",
     )
     return path
+
+
+@pytest.fixture
+def gc_restored():
+    """Re-enable the cyclic collector after a test that calls main()."""
+    yield
+    gc.enable()
 
 
 @pytest.fixture
@@ -149,7 +157,7 @@ class TestExitCodes:
         assert run(["--help"]) == EXIT_OK
         assert "--fail-on-flagged" in capsys.readouterr().out
 
-    def test_main_raises_systemexit(self, corpus, capsys, monkeypatch):
+    def test_main_raises_systemexit(self, corpus, capsys, monkeypatch, gc_restored):
         monkeypatch.setattr(sys, "argv", ["reqsmell", "--input", str(corpus)])
         with pytest.raises(SystemExit) as info:
             main()
@@ -280,6 +288,7 @@ class TestModuleInvocation:
             import reqsmell.cli
             print(sorted({"dataclasses", "inspect", "ast", "dis"} & set(sys.modules)))
             print([name for name in compiled if not name.endswith(".py")])
+            print(sorted({"json", "tempfile"} & set(sys.modules)))
         """)
         package_root = str(Path(reqsmell.__file__).parent.parent)
         result = subprocess.run(
@@ -289,7 +298,51 @@ class TestModuleInvocation:
             text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n[]\n"
+        assert result.stdout == "[]\n[]\n[]\n"
+
+    def test_cyclic_garbage_does_not_grow_with_the_corpus(self, tmp_path):
+        # main() runs without the cyclic collector. That is safe because a
+        # run leaves the same small amount of cyclic garbage (from argparse
+        # and json) whatever the row count, so a 20x corpus must leave no
+        # more than the sample one.
+        sample = Path(__file__).parent / "data" / "sample_corpus.csv"
+        header, *rows = sample.read_text(encoding="utf-8").splitlines(keepends=True)
+        large = tmp_path / "large.csv"
+        large.write_text(
+            header + "".join(f"C{copy}-{row}" for copy in range(20) for row in rows),
+            encoding="utf-8",
+        )
+        code = textwrap.dedent("""
+            import gc, sys
+            from reqsmell.cli import run
+            def garbage(path):
+                gc.collect()
+                assert run(["--input", path, "--format", "json", "--output", sys.argv[3]]) == 0
+                return gc.collect()
+            gc.disable()
+            garbage(sys.argv[1])  # the first run imports json and tempfile
+            print(garbage(sys.argv[1]), garbage(sys.argv[2]))
+        """)
+        package_root = str(Path(reqsmell.__file__).parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(sample), str(large), str(tmp_path / "out.json")],
+            env={**os.environ, "PYTHONPATH": package_root},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        small_count, large_count = map(int, result.stdout.split())
+        assert small_count == large_count
+        assert json.loads((tmp_path / "out.json").read_text())["summary"]["requirement_count"] == 200
+
+    def test_main_disables_the_collector_and_run_does_not(self, corpus, capsys, monkeypatch, gc_restored):
+        assert run(["--input", str(corpus)]) == EXIT_OK
+        assert gc.isenabled()
+        monkeypatch.setattr(sys, "argv", ["reqsmell", "--input", str(corpus)])
+        with pytest.raises(SystemExit):
+            main()
+        assert not gc.isenabled()
+        capsys.readouterr()
 
     def test_version_matches_pyproject(self):
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -245,6 +245,14 @@ class TestPhraseParsing:
             expected.add(PhrasePattern(tuple(tok.text for tok in tokenize(text)), slot))
         assert load_dictionary_file(path)["V"].patterns == frozenset(expected)
 
+    def test_mixed_case_placeholder_inside_phrase_rejected(self, tmp_path):
+        path = tmp_path / "dict.txt"
+        path.write_text("[V]\nmay\nshould <pP> have <PP>\n", encoding="utf-8")
+        with pytest.raises(MalformedDictionaryError) as info:
+            load_dictionary_file(path)
+        assert info.value.line == 3
+        assert "<PP> is only allowed at the end of a phrase" in str(info.value)
+
 
 class TestMatcher:
     def _matcher(self, *phrases, slots=()):
@@ -252,45 +260,72 @@ class TestMatcher:
         patterns |= {PhrasePattern(tuple(p.split()), True) for p in slots}
         return PhraseMatcher({"V": Dictionary("V", frozenset(patterns), USER_FILE)})
 
+    @staticmethod
+    def _one_sentence(matcher, words):
+        return matcher.find_matches(words, [(0, len(words))])
+
     def test_longest_match_wins(self):
         # expected span verified against the brute-force scan below
         matcher = self._matcher("see", "see reference")
         words = ["see", "reference", "5"]
-        assert matcher.find_matches(words) == [("V", 0, 2, "see reference")]
+        assert self._one_sentence(matcher, words) == [[("V", "see reference", 0, 2)]]
         assert naive_scan(words, [(("see",), False), (("see", "reference"), False)]) == [
             (0, 2, "see reference")
         ]
 
     def test_adjacent_occurrences_both_count(self):
         matcher = PhraseMatcher({"O": builtin_dictionaries()["O"]})
-        assert matcher.find_matches(["can", "can"]) == [
-            ("O", 0, 1, "can"),
-            ("O", 1, 2, "can"),
-        ]
+        assert self._one_sentence(matcher, ["can", "can"]) == [[
+            ("O", "can", 0, 1),
+            ("O", "can", 1, 2),
+        ]]
 
     def test_consumed_tokens_do_not_rematch(self):
         matcher = self._matcher("a b", "b c")
-        assert matcher.find_matches(["a", "b", "c"]) == [("V", 0, 2, "a b")]
+        assert self._one_sentence(matcher, ["a", "b", "c"]) == [[("V", "a b", 0, 2)]]
 
     def test_slot_requires_participle(self):
         matcher = self._matcher(slots=["should have"])
-        assert matcher.find_matches(["should", "have", "tested"]) == [
-            ("V", 0, 3, "should have tested")
-        ]
-        assert matcher.find_matches(["should", "have", "tests"]) == []
+        assert self._one_sentence(matcher, ["should", "have", "tested"]) == [[
+            ("V", "should have tested", 0, 3)
+        ]]
+        assert self._one_sentence(matcher, ["should", "have", "tests"]) == [[]]
 
     def test_literal_beats_slot_of_equal_length(self):
         matcher = self._matcher("should have done", slots=["should have"])
-        assert matcher.find_matches(["should", "have", "done"]) == [
-            ("V", 0, 3, "should have done")
-        ]
+        assert self._one_sentence(matcher, ["should", "have", "done"]) == [[
+            ("V", "should have done", 0, 3)
+        ]]
 
     def test_longer_literal_beats_shorter_slot(self):
         matcher = self._matcher("must have stopped fully", slots=["must have"])
-        assert matcher.find_matches(["must", "have", "stopped", "fully"]) == [
-            ("V", 0, 4, "must have stopped fully")
-        ]
+        assert self._one_sentence(matcher, ["must", "have", "stopped", "fully"]) == [[
+            ("V", "must have stopped fully", 0, 4)
+        ]]
 
     def test_no_matches_on_empty_input(self):
         matcher = PhraseMatcher(builtin_dictionaries())
-        assert matcher.find_matches([]) == []
+        assert matcher.find_matches([], []) == [[] for _ in DICTIONARY_METRICS]
+
+    def test_slot_does_not_take_participle_from_next_sentence(self):
+        matcher = self._matcher("should", slots=["should have"])
+        words = ["should", "have", "tested"]
+        assert matcher.find_matches(words, [(0, 2), (2, 3)]) == [[("V", "should", 0, 1)]]
+        assert matcher.find_matches(words, [(0, 3)]) == [[("V", "should have tested", 0, 3)]]
+
+    def test_literal_does_not_cross_sentence_break(self):
+        matcher = self._matcher("see", "see reference")
+        words = ["see", "reference", "see", "reference"]
+        assert matcher.find_matches(words, [(0, 1), (1, 3), (3, 4)]) == [[
+            ("V", "see", 0, 1),
+            ("V", "see", 2, 3),
+        ]]
+
+    def test_one_list_per_metric_in_dictionary_order(self):
+        dictionaries = builtin_dictionaries()
+        matcher = PhraseMatcher({"O": dictionaries["O"], "V": dictionaries["V"]})
+        words = ["may", "be", "able", "to"]
+        assert matcher.find_matches(words, [(0, 4)]) == [
+            [("O", "may", 0, 1)],
+            [("V", "may", 0, 1), ("V", "be able to", 1, 4)],
+        ]

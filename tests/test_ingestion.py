@@ -59,10 +59,10 @@ class TestHappyPath:
         assert [(r.id, r.row) for r in loaded] == [("R1", 3), ("R2", 5)]
 
     def test_extra_columns_pass_through(self, tmp_path):
-        path = write(tmp_path, "ID,Component,Text,Priority\nR1,UI,hello,high\n")
-        (req,) = load_requirements(path, DEFAULT)
-        assert req.extra == {"Component": "UI", "Priority": "high"}
-        assert "ID" not in req.extra and "Text" not in req.extra
+        # Columns besides id and text are accepted and ignored.
+        path = write(tmp_path, "ID,Component,Text,Priority\nR1,UI,hello,high\nR2,DB,bye,low\n")
+        loaded = load_requirements(path, DEFAULT)
+        assert loaded == [Requirement("R1", "hello", 2), Requirement("R2", "bye", 3)]
 
     def test_whitespace_in_text_is_preserved(self, tmp_path):
         path = write(tmp_path, "ID,Text\nR1,  padded  \n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from reqsmell.dictionaries import builtin_dictionaries
+from reqsmell.dictionaries import DICTIONARY_METRICS, builtin_dictionaries
 from reqsmell.ingestion import Requirement
 from reqsmell.metrics import (
     ALL_METRICS,
@@ -175,7 +175,7 @@ class TestAnalyzeText:
 
 class TestAnalyzeRequirement:
     def test_analyzes_requirement_text(self):
-        requirement = Requirement(id="R1", text="can may optionally", row=2, extra={})
+        requirement = Requirement(id="R1", text="can may optionally", row=2)
         assert analyze_text(requirement.text, CONFIG).counts["O"] == 3
 
 
@@ -184,7 +184,9 @@ class TestAnalysisConfig:
         for metric in ("V", "NR1", "NR2", "O", "S", "W", "NC"):
             assert metric in CONFIG.dictionaries
         words = "see reference and may be able to".split()
-        assert {m for m, *_ in CONFIG.matcher.find_matches(words)} == {"NR1", "NC", "V", "O", "W"}
+        found = CONFIG.matcher.find_matches(words, [(0, len(words))])
+        hit = {metric for metric, matches in zip(DICTIONARY_METRICS, found) if matches}
+        assert hit == {"NR1", "NC", "V", "O", "W"}
 
     def test_from_dictionaries_requires_full_set(self):
         partial = {"O": builtin_dictionaries()["O"]}

@@ -161,6 +161,25 @@ class TestMergedMatcher:
             assert observed == naive_metric_spans(text, dictionary)
             assert vector.value(metric) == len(observed)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_GLOSSARY_PIECES),
+                st.sampled_from([" ", " ", ". ", "; ", ", "]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_one_call_per_text_equals_calls_per_sentence(self, parts):
+        words, sentences, _ = scan(normalize(splice(parts)))
+        matcher = _GLOSSARY_CONFIG.matcher
+        expected = [[] for _ in DICTIONARY_METRICS]
+        for first, last in sentences:
+            found = matcher.find_matches(words[first:last], [(0, last - first)])
+            for merged, matches in zip(expected, found):
+                merged += [(m, phrase, first + a, first + b) for m, phrase, a, b in matches]
+        assert matcher.find_matches(words, sentences) == expected
+
     def test_spans_are_metric_major_then_positional(self):
         text = "and may be able to see the reference; may be done as in figure 2"
         vector = analyze_text(text, _GLOSSARY_CONFIG)
