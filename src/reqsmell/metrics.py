@@ -58,7 +58,6 @@ class MetricVector(NamedTuple):
     ari: float
     degenerate: bool
     spans: tuple[MatchSpan, ...]
-    readability: ReadabilityStats
 
     def value(self, metric_id: str) -> float:
         """Value of any reported metric, counts and NW/ARI alike."""
@@ -115,13 +114,11 @@ def analyze_text(text: str, config: AnalysisConfig) -> MetricVector:
     in report order, then by position.
     """
     words, sentences, letter_count = scan(normalize(text))
-    readability = compute_readability(len(words), len(sentences), letter_count)
     found = config.matcher.find_matches(words, sentences)
     return MetricVector(
         counts=dict(zip(DICTIONARY_METRICS, map(len, found))),
         word_count=len(words),
-        ari=readability.ari,
+        ari=compute_readability(len(words), len(sentences), letter_count).ari,
         degenerate=not words,
         spans=tuple(map(_match_span, chain.from_iterable(found))),
-        readability=readability,
     )

@@ -10,6 +10,7 @@ import csv
 import io
 import math
 import os
+from operator import attrgetter, ge, gt, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dictionaries import DICTIONARY_METRICS
@@ -21,7 +22,18 @@ TOOL_NAME = "reqsmell"
 
 REPORT_FORMATS = ("json", "csv", "table")
 
-_COMPARATORS = (">", ">=")
+# What each comparator tests, as ``comparison(value, limit)``.
+_COMPARISONS = {">": gt, ">=": ge}
+_COMPARATORS = tuple(_COMPARISONS)
+
+# The seven dictionary counts of a vector in report order, read by name in
+# one C call, so the order of the counts mapping does not matter.
+_dictionary_counts = itemgetter(*DICTIONARY_METRICS)
+
+
+def _values(vector: MetricVector) -> tuple:
+    """The nine reported values of ``vector``, in report order."""
+    return (*_dictionary_counts(vector.counts), vector.word_count, vector.ari)
 
 
 class _ThresholdRuleFields(NamedTuple):
@@ -46,7 +58,7 @@ class ThresholdRule(ValidatedTuple, _ThresholdRuleFields):
             raise ValueError("limit must be non-negative")
 
     def violated_by(self, value: float) -> bool:
-        return value > self.limit if self.comparator == ">" else value >= self.limit
+        return _COMPARISONS[self.comparator](value, self.limit)
 
 
 def parse_threshold_rules(lines: Iterable[str]) -> tuple[ThresholdRule, ...]:
@@ -83,19 +95,37 @@ def parse_threshold_rules(lines: Iterable[str]) -> tuple[ThresholdRule, ...]:
 
 def load_threshold_file(path: str | os.PathLike[str]) -> tuple[ThresholdRule, ...]:
     with open(path, "r", encoding="utf-8-sig") as handle:
-        return parse_threshold_rules(handle)
+        try:
+            # Split at "\n" only: the lines and their numbers are those of
+            # iterating the file, whose newline translation already ran.
+            lines = handle.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise MalformedThresholdError(f"file is not valid UTF-8 ({exc.reason})") from exc
+    return parse_threshold_rules(lines)
 
 
 def apply_thresholds(
     vector: MetricVector, rules: Sequence[ThresholdRule]
 ) -> list[str]:
     """Metric ids of all violated rules, in report order."""
-    by_metric = {rule.metric_id: rule for rule in rules}
     return [
         metric
-        for metric in ALL_METRICS
-        if metric in by_metric and by_metric[metric].violated_by(vector.value(metric))
+        for _, violated, limit, metric in _compile_rules(rules)
+        if violated(vector.value(metric), limit)
     ]
+
+
+def _compile_rules(
+    rules: Sequence[ThresholdRule],
+) -> tuple[tuple[int, Callable[[float, float], bool], float, str], ...]:
+    """``(value index, comparison, limit, metric id)`` per ruled metric, in
+    report order; a metric's last rule wins."""
+    by_metric = {rule.metric_id: rule for rule in rules}
+    return tuple(
+        (index, _COMPARISONS[rule.comparator], rule.limit, metric)
+        for index, metric in enumerate(ALL_METRICS)
+        if (rule := by_metric.get(metric)) is not None
+    )
 
 
 class DictionaryInfo(NamedTuple):
@@ -152,19 +182,28 @@ def summarize(entries: Sequence[RequirementEntry]) -> ReportSummary:
     separately. An empty corpus yields all-zero statistics.
     """
     live = [entry.vector for entry in entries if not entry.vector.degenerate]
-    stats: dict[str, MetricSummary] = {}
-    for metric in ALL_METRICS:
-        if live:
-            values = [vector.value(metric) for vector in live]
-            stats[metric] = MetricSummary(min(values), sum(values) / len(values), max(values))
-        else:
-            stats[metric] = MetricSummary(0, 0.0, 0)
+    if live:
+        # One column at a time, so only one column's values are alive.
+        counts = [vector.counts for vector in live]
+        columns = [
+            *(map(itemgetter(metric), counts) for metric in DICTIONARY_METRICS),
+            map(attrgetter("word_count"), live),
+            map(attrgetter("ari"), live),
+        ]
+        stats = dict(zip(ALL_METRICS, map(_metric_summary, columns)))
+    else:
+        stats = dict.fromkeys(ALL_METRICS, MetricSummary(0, 0.0, 0))
     return ReportSummary(
         requirement_count=len(entries),
         flagged_count=sum(1 for entry in entries if entry.flags),
-        degenerate_count=sum(1 for entry in entries if entry.vector.degenerate),
+        degenerate_count=len(entries) - len(live),
         metrics=stats,
     )
+
+
+def _metric_summary(column: Iterable[float]) -> MetricSummary:
+    values = list(column)
+    return MetricSummary(min(values), sum(values) / len(values), max(values))
 
 
 def build_report(
@@ -176,18 +215,24 @@ def build_report(
     timestamp: str | None = None,
 ) -> AnalysisReport:
     """Analyze a corpus and assemble the full report in corpus order."""
+    compiled = _compile_rules(rules)
     entries: list[RequirementEntry] = []
     for requirement in requirements:
         vector = analyze_text(requirement.text, config)
-        entry_warnings: tuple[str, ...] = ()
-        if vector.degenerate:
-            entry_warnings = ("requirement text contains no words",)
+        flags: tuple[str, ...] = ()
+        if compiled:
+            values = _values(vector)
+            flags = tuple(
+                metric
+                for index, violated, limit, metric in compiled
+                if violated(values[index], limit)
+            )
         entries.append(
             RequirementEntry(
                 id=requirement.id,
                 vector=vector,
-                flags=tuple(apply_thresholds(vector, rules)),
-                warnings=entry_warnings,
+                flags=flags,
+                warnings=("requirement text contains no words",) if vector.degenerate else (),
             )
         )
     snapshot = ReportConfig(
@@ -273,110 +318,123 @@ def render_json(report: AnalysisReport) -> bytes:
         },
     }
     text = json.dumps(head, indent=2, ensure_ascii=False)
+    # Each requirement is encoded as it is written, so the report exists
+    # once, as bytes, instead of as parts, their join and its encoding.
+    buffer = io.BytesIO()
+    write = buffer.write
     # The head ends with "\n}"; the requirements array becomes its last key.
-    parts = [text[:-2], ',\n  "requirements": ']
-    if report.entries:
-        parts.append("[\n")
-        parts.append(",\n".join(
-            _requirement_json(entry, encode_basestring) for entry in report.entries
-        ))
-        parts.append("\n  ]")
-    else:
-        parts.append("[]")
-    parts.append("\n}\n")
-    return "".join(parts).encode("utf-8")
+    write(f'{text[:-2]},\n  "requirements": '.encode())
+    if not report.entries:
+        write(b"[]\n}\n")
+        return buffer.getvalue()
+    # A span object in two parts: its text up to the "start" value, per
+    # (metric, phrase), and the rest, per (start, end). A report repeats few
+    # distinct pairs of either many times.
+    span_heads = _Memo(lambda pair: _SPAN_HEAD % tuple(map(encode_basestring, pair)))
+    span_tails = _Memo(_SPAN_TAIL.__mod__)
+    separator = b"[\n"
+    for entry in report.entries:
+        write(separator)
+        write(_requirement_json(entry, encode_basestring, span_heads, span_tails).encode())
+        separator = b",\n"
+    write(b"\n  ]\n}\n")
+    return buffer.getvalue()
 
 
-_METRICS_JSON = ",\n".join(f'        "{metric}": {{}}' for metric in ALL_METRICS)
-
-_SPAN_JSON = (
-    "        {{\n"
-    '          "metric": {},\n'
-    '          "phrase": {},\n'
-    '          "start": {},\n'
-    '          "end": {}\n'
-    "        }}"
+# Leaves are written as json.dumps writes them: strings with the C encoder
+# it uses for ensure_ascii=False, numbers with %s, which is str for ints and
+# the shortest repr for floats.
+_REQUIREMENT_JSON = (
+    "    {\n"
+    '      "id": %s,\n'
+    '      "metrics": {\n'
+    + ",\n".join(f'        "{metric}": %s' for metric in ALL_METRICS)
+    + "\n      },\n"
+    '      "spans": %s,\n'
+    '      "flags": %s,\n'
+    '      "warnings": %s\n'
+    "    }"
 )
 
+_SPAN_HEAD = (
+    "        {\n"
+    '          "metric": %s,\n'
+    '          "phrase": %s,\n'
+    '          "start": '
+)
 
-def _array_json(items: Sequence[str]) -> str:
+_SPAN_TAIL = '%s,\n          "end": %s\n        }'
+
+_metric_phrase = itemgetter(0, 1)
+_positions = itemgetter(2, 3)
+
+
+class _Memo(dict):
+    """``make(key)`` for each key, made on first use and then looked up."""
+
+    def __init__(self, make: Callable):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _array_json(items: Iterable[str]) -> str:
     """A JSON array in a requirement field, from already encoded items."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n      ]"
+    body = ",\n".join(items)
+    return "[\n" + body + "\n      ]" if body else "[]"
 
 
-def _requirement_json(entry: RequirementEntry, encode: Callable[[str], str]) -> str:
-    # Leaves are written as json.dumps writes them: strings with ``encode``,
-    # the encoder it uses for ensure_ascii=False, ints with str and floats
-    # with repr.
+def _requirement_json(
+    entry: RequirementEntry, encode: Callable[[str], str], span_heads: _Memo, span_tails: _Memo
+) -> str:
     vector = entry.vector
-    values = [_metric_cell(vector.value(metric)) for metric in ALL_METRICS]
-    spans = _array_json([
-        _SPAN_JSON.format(encode(span.metric), encode(span.phrase), span.start, span.end)
-        for span in vector.spans
-    ])
-    flags = _array_json(["        " + encode(flag) for flag in entry.flags])
-    warnings = _array_json(["        " + encode(warning) for warning in entry.warnings])
-    return (
-        "    {\n"
-        f'      "id": {encode(entry.id)},\n'
-        f'      "metrics": {{\n{_METRICS_JSON.format(*values)}\n      }},\n'
-        f'      "spans": {spans},\n'
-        f'      "flags": {flags},\n'
-        f'      "warnings": {warnings}\n'
-        "    }"
+    spans = vector.spans
+    return _REQUIREMENT_JSON % (
+        encode(entry.id),
+        *_values(vector),
+        _array_json(map(
+            str.__add__,
+            map(span_heads.__getitem__, map(_metric_phrase, spans)),
+            map(span_tails.__getitem__, map(_positions, spans)),
+        )),
+        _array_json(["        " + encode(flag) for flag in entry.flags]),
+        _array_json(["        " + encode(warning) for warning in entry.warnings]),
     )
-
-
-def _metric_cell(value: float) -> str:
-    # Counts stay integers; ARI uses the shortest float representation.
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render_csv(report: AnalysisReport) -> bytes:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", *ALL_METRICS, "flags"])
-    for entry in report.entries:
-        writer.writerow(
-            [
-                entry.id,
-                *(_metric_cell(entry.vector.value(metric)) for metric in ALL_METRICS),
-                ";".join(entry.flags),
-            ]
-        )
+    # csv writes ints with str and floats with repr, as the JSON report does.
+    writer.writerows(
+        (entry.id, *_values(entry.vector), ";".join(entry.flags))
+        for entry in report.entries
+    )
     return buffer.getvalue().encode("utf-8")
+
+
+def _table_cell(value: float) -> str:
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
 def render_table(report: AnalysisReport) -> bytes:
     headers = ["id", *ALL_METRICS, "flags"]
-    rows: list[list[str]] = []
-    for entry in report.entries:
-        cells = [entry.id]
-        for metric in ALL_METRICS:
-            value = entry.vector.value(metric)
-            cells.append(f"{value:.2f}" if isinstance(value, float) else str(value))
-        cells.append(";".join(entry.flags))
-        rows.append(cells)
+    rows = [
+        [entry.id, *map(_table_cell, _values(entry.vector)), ";".join(entry.flags)]
+        for entry in report.entries
+    ]
 
-    widths = [len(header) for header in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    # id and flags left-aligned, numbers right-aligned
+    template = "  ".join(
+        [f"{{:<{widths[0]}}}", *(f"{{:>{width}}}" for width in widths[1:-1]), f"{{:<{widths[-1]}}}"]
+    )
 
-    def fmt_row(cells: Sequence[str]) -> str:
-        parts = []
-        for i, cell in enumerate(cells):
-            # id and flags left-aligned, numbers right-aligned
-            if i == 0 or i == len(cells) - 1:
-                parts.append(cell.ljust(widths[i]))
-            else:
-                parts.append(cell.rjust(widths[i]))
-        return "  ".join(parts).rstrip()
-
-    lines = [fmt_row(headers), fmt_row(["-" * width for width in widths])]
-    lines.extend(fmt_row(row) for row in rows)
+    dashes = ["-" * width for width in widths]
+    lines = [template.format(*row).rstrip() for row in (headers, dashes, *rows)]
     summary = report.summary
     lines.append("")
     lines.append(

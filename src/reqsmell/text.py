@@ -23,6 +23,15 @@ _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 _ASCII_LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
+# For ASCII text: every terminator becomes ".", every other character that
+# is neither alphanumeric nor a joiner (apostrophe, hyphen) becomes a space.
+# Sentences are then the "."-separated segments and, in a segment without
+# joiners, words are its whitespace-separated runs.
+_ASCII_SCAN = {
+    ord(c): "." if c in ".!?;" else c if c.isalnum() or c in "'-" else " "
+    for c in map(chr, range(128))
+}
+
 
 class Token(NamedTuple):
     """One word of normalized text with its character span."""
@@ -108,15 +117,29 @@ def scan(text: str) -> tuple[list[str], list[Sentence], int]:
     can be counted over the whole text because every alphabetic character
     lies inside some token.
     """
-    segments = list(filter(None, map(_TOKEN_RE.findall, _TERMINATOR_RE.split(text))))
-    ends = list(accumulate(map(len, segments)))
-    sentences = list(map(_sentence, zip([0] + ends, ends)))
-    words = list(chain.from_iterable(segments))
     raw = text.encode("ascii", "ignore")
     # ASCII letters are the only alphabetic ASCII characters, so bytes count
     # them about ten times faster than str.isalpha; only the other
     # characters need the Unicode test.
     letters = len(raw) - len(raw.translate(None, _ASCII_LETTERS))
-    if not text.isascii():
+    if text.isascii():
+        # One translate and two C-level splits; only a segment with a joiner
+        # needs the token regex, to keep "don't" whole and drop a stray "-".
+        cut = text.translate(_ASCII_SCAN)
+        split = _ascii_words if "'" in cut or "-" in cut else str.split
+        segments = list(filter(None, map(split, cut.split("."))))
+    else:
+        # Outside ASCII, str.translate leaves its fast path and measured
+        # slower than the regex.
+        segments = list(filter(None, map(_TOKEN_RE.findall, _TERMINATOR_RE.split(text))))
         letters += sum(map(str.isalpha, _NON_ASCII_RE.findall(text)))
-    return words, sentences, letters
+    ends = list(accumulate(map(len, segments)))
+    sentences = list(map(_sentence, zip([0] + ends, ends)))
+    return list(chain.from_iterable(segments)), sentences, letters
+
+
+def _ascii_words(segment: str) -> list[str]:
+    """Words of one translated ASCII segment (see :data:`_ASCII_SCAN`)."""
+    if "'" in segment or "-" in segment:
+        return _TOKEN_RE.findall(segment)
+    return segment.split()

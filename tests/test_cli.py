@@ -194,6 +194,14 @@ class TestErrorPaths:
         assert run(["--input", str(corpus), "--thresholds", str(bad)]) == EXIT_ERROR
         assert "line 1" in capsys.readouterr().err
 
+    def test_thresholds_not_utf8(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"V >= \xff\n")
+        assert run(["--input", str(corpus), "--thresholds", str(bad)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid UTF-8" in err
+        assert len(err.splitlines()) == 1
+
     def test_unterminated_quote(self, tmp_path, capsys):
         path = tmp_path / "corpus.csv"
         path.write_text('ID,Text\nR1,"unterminated\nR2,second row\nR3,third\n', encoding="utf-8")

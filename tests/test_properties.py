@@ -1,10 +1,13 @@
 """Property-based tests for the analysis invariants.
 
-Texts here are built two ways: arbitrary unicode for the text-core
-properties, and keyword splices (dictionary phrases mixed with filler) for
-the matcher properties, so the interesting code paths actually fire.
+Texts here are built three ways: arbitrary unicode and mostly-ASCII text for
+the text-core properties, and keyword splices (dictionary phrases mixed with
+filler) for the matcher properties, so the interesting code paths actually
+fire. The command-line property draws CSV bytes and flag sets.
 """
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from reqsmell.dictionaries import (
     format_dictionary_file,
     load_dictionary_file,
 )
+from reqsmell.cli import run
 from reqsmell.metrics import ALL_METRICS, AnalysisConfig, analyze_text
 from reqsmell.reporting import ThresholdRule, apply_thresholds
 from reqsmell.text import normalize, scan, split_sentences, tokenize
@@ -93,6 +97,33 @@ class TestTextCore:
 _EDGE_CHARACTERS = "a\u0301\u0308²½_'’-.!?; x9ßİﬃ"
 
 
+# Mostly-ASCII texts, for the translate-and-split path of scan: joiners
+# alone, doubled, at word edges and inside words, the underscore, terminator
+# runs, tabs, control characters, digits and mixed case, with one
+# occasional non-ASCII character that sends a text down the regex path.
+_ASCII_PIECES = st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=6),
+    st.text(alphabet="aZ09'-_.!?; \t\x00\x0b\x1f\x7f", min_size=1, max_size=8),
+    st.sampled_from(
+        ["don't", "re-use", "a--b", "'x'", "-y-", "o''k", "3.14", "e.g.", "...", "?!", ";;", "a_b", "x\ty"]
+    ),
+)
+
+
+def _with_one_character(parts, character, at):
+    text = "".join(parts)
+    at %= len(text) + 1
+    return text[:at] + character + text[at:]
+
+
+_ascii_heavy = st.builds(
+    _with_one_character,
+    st.lists(_ASCII_PIECES, max_size=20),
+    st.sampled_from(["", "", "", "", "", "’", "é"]),
+    st.integers(min_value=0),
+)
+
+
 class TestSinglePassScan:
     @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(_EDGE_CHARACTERS))))
     def test_scan_equals_tokenize_split_and_letter_sums(self, text):
@@ -101,6 +132,14 @@ class TestSinglePassScan:
         words, sentences, letters = scan(normalized)
         assert words == [token.text for token in tokens]
         assert sentences == split_sentences(normalized, tokens)
+        assert letters == sum(token.letter_count for token in tokens)
+
+    @given(_ascii_heavy)
+    def test_ascii_path_equals_tokenize_split_and_letter_sums(self, text):
+        tokens = tokenize(text)
+        words, sentences, letters = scan(text)
+        assert words == [token.text for token in tokens]
+        assert sentences == split_sentences(text, tokens)
         assert letters == sum(token.letter_count for token in tokens)
 
 
@@ -321,3 +360,69 @@ class TestDictionaryRoundTrip:
             second = load_dictionary_file(second_path)
         for metric in DICTIONARY_METRICS:
             assert second[metric].patterns == first[metric].patterns
+
+
+# Inputs for the command line: CSV bytes from a few header shapes and a body
+# of delimiters, quotes, line breaks, a NUL, non-ASCII and an invalid UTF-8
+# byte, or plain random bytes; flag values that are valid, invalid, or point
+# at files with good, malformed or undecodable content.
+_CSV_HEADERS = [
+    b"", b"ID,Text\n", b"ID;Text\r\n", b"\xef\xbb\xbfID,Text\n", b"Key\tBody\n", b"ID,Text,Extra\n", b"ID,ID\n",
+]
+_CSV_PIECES = [
+    b"R1", b"R2", b"may", b"shall be done", b",", b";", b"\t", b'"', b'""', b"\n", b"\r\n", b" ", b"\x00",
+    "\u00e9".encode(), b"\xff",
+]
+_csv_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.builds(
+        bytes.__add__,
+        st.sampled_from(_CSV_HEADERS),
+        st.lists(st.sampled_from(_CSV_PIECES), max_size=30).map(b"".join),
+    ),
+)
+_FILE_CONTENTS = [
+    b"V >= 1\nNW > 3\n", b"V ~= 2\n", b"NW > nan\n", b"[V]\nmay\n", b"[V]\nmay <PP>\n[X]\n", b"\xff\xfe", b"",
+]
+# Each flag is present or not; a switch has the value None.
+_FLAGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "--format": st.sampled_from(["json", "csv", "table", "xml"]),
+        "--delimiter": st.sampled_from([",", ",", ";", "\\t", "\t", "|", '"', "\n", "ab"]),
+        "--id-column": st.sampled_from(["ID", "Key", "Text", ""]),
+        "--text-column": st.sampled_from(["Text", "Body", "ID"]),
+        "--thresholds": st.sampled_from(range(len(_FILE_CONTENTS))),
+        "--dictionaries": st.sampled_from(range(len(_FILE_CONTENTS))),
+        "--output": st.sampled_from(["report.out", ".", "missing/report.out"]),
+        "--fail-on-flagged": st.none(),
+        "--timestamp": st.none(),
+    },
+)
+
+
+class TestCommandLineRobustness:
+    @settings(max_examples=200, deadline=None)
+    @given(_csv_bytes, _FLAGS, st.sampled_from([True, True, True, False]))
+    def test_every_input_ends_with_an_exit_code_and_one_diagnostic(self, data, flags, with_input):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "input.csv").write_bytes(data)
+            for index, content in enumerate(_FILE_CONTENTS):
+                (root / f"file{index}.txt").write_bytes(content)
+            argv = ["--input", str(root / "input.csv")] if with_input else []
+            for flag, value in flags.items():
+                if flag in ("--thresholds", "--dictionaries"):
+                    value = root / f"file{value}.txt"
+                elif flag == "--output":
+                    value = root / value
+                argv += [flag] if value is None else [flag, str(value)]
+            if not flags:
+                # Cover argparse's usage error with an unknown flag.
+                argv.append("--bogus")
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(argv)
+        assert code in (0, 1, 2)
+        assert sum("error:" in line for line in stderr.getvalue().splitlines()) <= 1

@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from reqsmell.dictionaries import BUILTIN
+from reqsmell import reporting
+from reqsmell.dictionaries import BUILTIN, DICTIONARY_METRICS
 from reqsmell.errors import MalformedThresholdError
-from reqsmell.ingestion import ColumnMapping, Requirement
-from reqsmell.metrics import ALL_METRICS, AnalysisConfig, MatchSpan, analyze_text
+from reqsmell.ingestion import ColumnMapping, Requirement, load_requirements
+from reqsmell.metrics import ALL_METRICS, AnalysisConfig, MatchSpan, MetricVector, analyze_text
 from reqsmell.reporting import (
     RequirementEntry,
     ThresholdRule,
@@ -118,6 +121,21 @@ class TestParseThresholdRules:
         path.write_text("# limits\nNW > 40\n", encoding="utf-8")
         (rule,) = load_threshold_file(path)
         assert (rule.metric_id, rule.comparator, rule.limit) == ("NW", ">", 40.0)
+
+    def test_load_rejects_invalid_utf8(self, tmp_path):
+        path = tmp_path / "thresholds.txt"
+        path.write_bytes(b"NW > 40\nV >= \xff\n")
+        with pytest.raises(MalformedThresholdError, match="not valid UTF-8"):
+            load_threshold_file(path)
+
+    def test_file_line_numbers_count_only_line_breaks(self, tmp_path):
+        # A form feed or a line separator inside a comment does not start
+        # a new line, as when the file is read line by line.
+        path = tmp_path / "thresholds.txt"
+        path.write_text("# a\x0cb\u2028c\r\nV ~= 2\n", encoding="utf-8")
+        with pytest.raises(MalformedThresholdError) as info:
+            load_threshold_file(path)
+        assert info.value.line == 2
 
 
 class TestApplyThresholds:
@@ -379,6 +397,70 @@ class TestFormatAgreement:
                 parsed = float(row[metric])
                 assert parsed == entry["metrics"][metric]
                 assert parsed == int(parsed) or metric == "ARI"
+
+
+class TestCountsMappingOrder:
+    """Nothing may depend on the order of a vector's counts mapping."""
+
+    RULES = parse_threshold_rules(["V >= 3", "NR2 > 4", "S >= 5", "NC > 6", "NW >= 20", "ARI > 30"])
+
+    @staticmethod
+    def _vector(text, order):
+        # Seven distinct counts per text, so reading them in any order but
+        # by name changes values, flags and summary.
+        base = len(text)
+        counts = {metric: (base + 2 * DICTIONARY_METRICS.index(metric)) % 9 for metric in order}
+        words = len(text.split())
+        return MetricVector(
+            counts=counts if words else dict.fromkeys(order, 0),
+            word_count=words,
+            ari=base / 3.0 if words else 0.0,
+            degenerate=not words,
+            spans=(),
+        )
+
+    def _report(self, monkeypatch, order):
+        monkeypatch.setattr(reporting, "analyze_text", lambda text, config: self._vector(text, order))
+        requirements = [
+            Requirement(f"R{index}", " ".join(["w"] * index), index + 2) for index in range(0, 40, 3)
+        ]
+        return build_report(requirements, CONFIG, self.RULES)
+
+    def test_same_flags_summary_and_bytes_as_report_order(self, monkeypatch):
+        in_order = self._report(monkeypatch, DICTIONARY_METRICS)
+        shuffled = DICTIONARY_METRICS[3:] + DICTIONARY_METRICS[:3]
+        for order in (tuple(reversed(DICTIONARY_METRICS)), shuffled):
+            other = self._report(monkeypatch, order)
+            assert list(other.entries[1].vector.counts) == list(order)
+            assert [e.flags for e in other.entries] == [e.flags for e in in_order.entries]
+            assert other.summary == in_order.summary
+            for entry in other.entries:
+                assert apply_thresholds(entry.vector, self.RULES) == list(entry.flags)
+            for fmt in ("json", "csv", "table"):
+                assert render(other, fmt) == render(in_order, fmt)
+        flagged = [bool(e.flags) for e in in_order.entries]
+        assert any(flagged) and not all(flagged)
+        assert in_order.summary.degenerate_count == 1
+
+
+class TestRenderJsonMemory:
+    def test_peak_allocation_below_twice_the_report(self):
+        sample = load_requirements(Path(__file__).parent / "data" / "sample_corpus.csv", ColumnMapping())
+        requirements = [
+            Requirement(f"R{index}", sample[index % len(sample)].text, index + 2)
+            for index in range(300)
+        ]
+        report = build_report(requirements, CONFIG, RULES)
+        render_json(report)  # the first call imports json
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            size = len(render_json(report))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert size > 100_000
+        assert peak < 2 * size
 
 
 class TestRenderDispatch:
