@@ -12,7 +12,6 @@ from .dictionaries import (
     PhraseMatcher,
     PhrasePattern,
     builtin_dictionaries,
-    format_dictionary_file,
     load_dictionary_file,
 )
 from .errors import (
@@ -26,15 +25,7 @@ from .errors import (
     RowArityError,
 )
 from .ingestion import ColumnMapping, EmptyCorpusWarning, Requirement, load_requirements
-from .metrics import (
-    ALL_METRICS,
-    AnalysisConfig,
-    MatchSpan,
-    MetricVector,
-    ReadabilityStats,
-    analyze_text,
-    compute_readability,
-)
+from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 from .reporting import (
     AnalysisReport,
     RequirementEntry,
@@ -46,7 +37,7 @@ from .reporting import (
     render,
     summarize,
 )
-from .text import Sentence, Token, normalize, split_sentences, tokenize
+from .text import normalize
 
 __version__ = "0.1.0"
 
@@ -63,32 +54,24 @@ __all__ = [
     "EncodingError",
     "MalformedDictionaryError",
     "MalformedThresholdError",
-    "MatchSpan",
     "MetricVector",
     "MissingColumnError",
     "PhraseMatcher",
     "PhrasePattern",
-    "ReadabilityStats",
     "ReqsmellError",
     "Requirement",
     "RequirementEntry",
     "RowArityError",
-    "Sentence",
     "ThresholdRule",
-    "Token",
     "analyze_text",
     "apply_thresholds",
     "build_report",
     "builtin_dictionaries",
-    "compute_readability",
-    "format_dictionary_file",
     "load_dictionary_file",
     "load_requirements",
     "load_threshold_file",
     "normalize",
     "parse_threshold_rules",
     "render",
-    "split_sentences",
     "summarize",
-    "tokenize",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import gc
 import os
 import sys
 import warnings
@@ -130,9 +129,4 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    # A run allocates many short-lived tuples and builds no reference cycles
-    # that grow with the input (a constant few from argparse and json), so
-    # the cyclic collector would only rescan live objects. The process
-    # ends after one run, which keeps this out of run() and its callers.
-    gc.disable()
     sys.exit(run())

@@ -18,7 +18,7 @@ from operator import is_not, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedDictionaryError, ValidatedTuple
-from .text import _TOKEN_RE, normalize
+from .text import _TOKEN_RE, normalize, scan
 
 # Metric identifiers, in report order. These are part of the file-format and
 # report contracts (section headers, CSV columns), not abbreviations of ours.
@@ -299,6 +299,14 @@ def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
     tokens = tuple(_TOKEN_RE.findall(normalize(" ".join(fields))))
     if not tokens:
         raise MalformedDictionaryError("empty phrase", lineno)
+    # Matches never cross a sentence boundary, so a phrase that scan cuts
+    # into two sentences (slot included) could never match. Only a line
+    # with a terminator can be cut; substring tests are cheaper than a regex.
+    terminated = "." in line or ";" in line or "!" in line or "?" in line
+    if terminated and len(scan(normalize(line))[1]) > 1:
+        raise MalformedDictionaryError(
+            f"phrase {line!r} spans a sentence boundary and can never match", lineno
+        )
     return PhrasePattern(tokens, slot)
 
 
@@ -312,7 +320,9 @@ def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
     """
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
-            raw_lines = handle.read().splitlines()
+            # Split at "\n" only, as load_threshold_file does: the lines and
+            # their numbers are those of iterating the file.
+            raw_lines = handle.read().split("\n")
         except UnicodeDecodeError as exc:
             raise MalformedDictionaryError(f"file is not valid UTF-8 ({exc.reason})") from exc
 
@@ -356,21 +366,3 @@ def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
     for metric, patterns in sections.items():
         merged[metric] = Dictionary(metric, frozenset(patterns), origin=USER_FILE)
     return merged
-
-
-def format_dictionary_file(dictionaries: dict[str, Dictionary]) -> str:
-    """Serialize dictionaries back to the override file format.
-
-    Inverse of :func:`load_dictionary_file` up to comments and ordering:
-    loading the output reproduces the same pattern sets.
-    """
-    blocks: list[str] = []
-    for metric in DICTIONARY_METRICS:
-        if metric not in dictionaries:
-            continue
-        patterns = sorted(
-            dictionaries[metric].patterns, key=lambda p: (p.tokens, p.participle_slot)
-        )
-        lines = [f"[{metric}]"] + [p.phrase for p in patterns]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"

@@ -11,7 +11,6 @@ ARI here is average words per sentence plus nine times average letters per
 word; empty text yields a degenerate all-zero vector instead of an error.
 """
 
-from functools import partial
 from itertools import chain
 from typing import Mapping, NamedTuple
 
@@ -22,42 +21,16 @@ from .text import normalize, scan
 ALL_METRICS = DICTIONARY_METRICS + ("NW", "ARI")
 
 
-class MatchSpan(NamedTuple):
-    """One dictionary hit: metric id, matched phrase, half-open token range."""
-
-    metric: str
-    phrase: str
-    start: int
-    end: int
-
-
-# MatchSpan from a (metric, phrase, start, end) tuple, without a Python-level
-# __new__ call per span.
-_match_span = partial(tuple.__new__, MatchSpan)
-
-
-class ReadabilityStats(NamedTuple):
-    """Counts and averages feeding the readability score."""
-
-    word_count: int
-    sentence_count: int
-    letter_count: int
-    words_per_sentence: float
-    letters_per_word: float
-
-    @property
-    def ari(self) -> float:
-        return self.words_per_sentence + 9.0 * self.letters_per_word
-
-
 class MetricVector(NamedTuple):
-    """The nine metric values for one requirement, plus match evidence."""
+    """The nine metric values for one requirement, plus match evidence:
+    one ``(metric, phrase, start, end)`` tuple per dictionary hit, with a
+    half-open word range, as the matcher returns it."""
 
     counts: Mapping[str, int]
     word_count: int
     ari: float
     degenerate: bool
-    spans: tuple[MatchSpan, ...]
+    spans: tuple[tuple[str, str, int, int], ...]
 
     def value(self, metric_id: str) -> float:
         """Value of any reported metric, counts and NW/ARI alike."""
@@ -91,19 +64,6 @@ class AnalysisConfig(NamedTuple):
         return cls.from_dictionaries(builtin_dictionaries())
 
 
-def compute_readability(
-    word_count: int, sentence_count: int, letter_count: int
-) -> ReadabilityStats:
-    """The two averages behind ARI, from word, sentence and letter counts."""
-    return ReadabilityStats(
-        word_count=word_count,
-        sentence_count=sentence_count,
-        letter_count=letter_count,
-        words_per_sentence=word_count / sentence_count if sentence_count else 0.0,
-        letters_per_word=letter_count / word_count if word_count else 0.0,
-    )
-
-
 def analyze_text(text: str, config: AnalysisConfig) -> MetricVector:
     """Compute the full metric vector for one requirement text.
 
@@ -115,10 +75,11 @@ def analyze_text(text: str, config: AnalysisConfig) -> MetricVector:
     """
     words, sentences, letter_count = scan(normalize(text))
     found = config.matcher.find_matches(words, sentences)
+    nw = len(words)
     return MetricVector(
         counts=dict(zip(DICTIONARY_METRICS, map(len, found))),
-        word_count=len(words),
-        ari=compute_readability(len(words), len(sentences), letter_count).ari,
-        degenerate=not words,
-        spans=tuple(map(_match_span, chain.from_iterable(found))),
+        word_count=nw,
+        ari=(nw / len(sentences) + 9.0 * (letter_count / nw)) if nw else 0.0,
+        degenerate=not nw,
+        spans=tuple(chain.from_iterable(found)),
     )

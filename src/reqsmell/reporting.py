@@ -57,9 +57,6 @@ class ThresholdRule(ValidatedTuple, _ThresholdRuleFields):
         if self.limit < 0:
             raise ValueError("limit must be non-negative")
 
-    def violated_by(self, value: float) -> bool:
-        return _COMPARISONS[self.comparator](value, self.limit)
-
 
 def parse_threshold_rules(lines: Iterable[str]) -> tuple[ThresholdRule, ...]:
     """Parse ``METRIC OP LIMIT`` lines; ``#`` starts a comment."""
@@ -420,10 +417,16 @@ def _table_cell(value: float) -> str:
     return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
+def _table_text(text: str) -> str:
+    """``text`` with each non-printable character escaped as Python escapes
+    it ("\\n", "\\x85", "\\u2028"), so a table row stays on one line."""
+    return text if text.isprintable() else "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def render_table(report: AnalysisReport) -> bytes:
     headers = ["id", *ALL_METRICS, "flags"]
     rows = [
-        [entry.id, *map(_table_cell, _values(entry.vector)), ";".join(entry.flags)]
+        [_table_text(entry.id), *map(_table_cell, _values(entry.vector)), ";".join(entry.flags)]
         for entry in report.entries
     ]
 

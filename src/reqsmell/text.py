@@ -6,9 +6,7 @@ of them are pure and produce identical results for identical inputs.
 
 import re
 import unicodedata
-from functools import partial
 from itertools import accumulate, chain
-from typing import NamedTuple
 
 # A token is a maximal run of alphanumeric characters; apostrophes and
 # hyphens are kept when they sit between alphanumerics ("don't", "re-use").
@@ -33,30 +31,6 @@ _ASCII_SCAN = {
 }
 
 
-class Token(NamedTuple):
-    """One word of normalized text with its character span."""
-
-    text: str
-    letter_count: int
-    start: int
-    end: int
-
-
-class Sentence(NamedTuple):
-    """Half-open range [start, end) of token indices forming one sentence."""
-
-    start: int
-    end: int
-
-    @property
-    def token_count(self) -> int:
-        return self.end - self.start
-
-
-# Sentence from a (start, end) pair, without a Python-level __new__ call.
-_sentence = partial(tuple.__new__, Sentence)
-
-
 def normalize(text: str) -> str:
     """Case-fold and canonically compose (NFC) the given text.
 
@@ -66,56 +40,19 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text.casefold())
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split normalized text into word tokens.
-
-    Tokens are maximal alphanumeric runs; internal apostrophes and hyphens
-    stay inside the token. ``letter_count`` counts alphabetic characters
-    only, so digits and the joining punctuation are excluded.
-    """
-    return [
-        Token(
-            text=m.group(),
-            letter_count=sum(1 for ch in m.group() if ch.isalpha()),
-            start=m.start(),
-            end=m.end(),
-        )
-        for m in _TOKEN_RE.finditer(text)
-    ]
-
-
-def split_sentences(text: str, tokens: list[Token]) -> list[Sentence]:
-    """Group ``tokens`` into sentences of the normalized ``text``.
-
-    A boundary occurs after each run of '.', '!', '?' or ';'. Text with
-    tokens but no terminator forms exactly one sentence; tokenless text
-    yields no sentences. Every token belongs to exactly one sentence.
-    """
-    sentences: list[Sentence] = []
-    first = 0
-    total = len(tokens)
-    for match in _TERMINATOR_RE.finditer(text):
-        cut = match.end()
-        last = first
-        while last < total and tokens[last].start < cut:
-            last += 1
-        if last > first:
-            sentences.append(Sentence(first, last))
-            first = last
-    if first < total:
-        sentences.append(Sentence(first, total))
-    return sentences
-
-
-def scan(text: str) -> tuple[list[str], list[Sentence], int]:
+def scan(text: str) -> tuple[list[str], list[tuple[int, int]], int]:
     """Words, sentences and letter total of normalized ``text`` in one pass.
 
-    Equal to the token texts of :func:`tokenize`, the ranges of
-    :func:`split_sentences` and the sum of the tokens' ``letter_count``,
-    without building :class:`Token` objects. Splitting at terminator runs
-    first is exact because no token contains a terminator, and the letters
-    can be counted over the whole text because every alphabetic character
-    lies inside some token.
+    Words are maximal alphanumeric runs; internal apostrophes and hyphens
+    stay inside the word ("don't", "re-use"). A sentence boundary follows
+    each run of '.', '!', '?' or ';', and each sentence is a half-open
+    ``(start, end)`` range of word indices; sentences partition the words
+    in order, and text without words has none. The letter total counts
+    alphabetic characters only, so digits and joiners are excluded.
+
+    Splitting at terminator runs first is exact because no word contains a
+    terminator, and the letters can be counted over the whole text because
+    every alphabetic character lies inside some word.
     """
     raw = text.encode("ascii", "ignore")
     # ASCII letters are the only alphabetic ASCII characters, so bytes count
@@ -134,8 +71,7 @@ def scan(text: str) -> tuple[list[str], list[Sentence], int]:
         segments = list(filter(None, map(_TOKEN_RE.findall, _TERMINATOR_RE.split(text))))
         letters += sum(map(str.isalpha, _NON_ASCII_RE.findall(text)))
     ends = list(accumulate(map(len, segments)))
-    sentences = list(map(_sentence, zip([0] + ends, ends)))
-    return list(chain.from_iterable(segments)), sentences, letters
+    return list(chain.from_iterable(segments)), list(zip([0] + ends, ends)), letters
 
 
 def _ascii_words(segment: str) -> list[str]:

@@ -1,16 +1,90 @@
-"""Naive reference scanner used to cross-check the optimized matcher.
+"""Naive reference tokenizer and scanner used to cross-check the package.
 
-Tries every pattern at every position and resolves winners by explicit
-comparison, sharing no code with the trie implementation. Same documented
-semantics: longest match wins, a literal pattern beats a participle-slot
-pattern of the same length, matched tokens are consumed, and matches never
-cross sentence boundaries.
+The tokenizer builds one :class:`Token` per regex match and cuts sentences
+by comparing token offsets with terminator runs; it shares no code with
+``reqsmell.text.scan``. The scanner tries every pattern at every position
+and resolves winners by explicit comparison, sharing no code with the trie
+implementation. Same documented semantics: longest match wins, a literal
+pattern beats a participle-slot pattern of the same length, matched tokens
+are consumed, and matches never cross sentence boundaries.
 """
 
 from __future__ import annotations
 
+import re
+from typing import NamedTuple
+
 from reqsmell.dictionaries import IRREGULAR_PARTICIPLES, Dictionary
-from reqsmell.text import normalize, split_sentences, tokenize
+from reqsmell.text import normalize
+
+# A token is a maximal run of alphanumeric characters; apostrophes and
+# hyphens are kept when they sit between alphanumerics ("don't", "re-use").
+# [^\W_] is "word character minus underscore", i.e. Unicode alphanumeric.
+_TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
+
+# A sentence boundary is a run of terminator characters.
+_TERMINATOR_RE = re.compile(r"[.!?;]+")
+
+
+class Token(NamedTuple):
+    """One word of normalized text with its character span."""
+
+    text: str
+    letter_count: int
+    start: int
+    end: int
+
+
+class Sentence(NamedTuple):
+    """Half-open range [start, end) of token indices forming one sentence."""
+
+    start: int
+    end: int
+
+    @property
+    def token_count(self) -> int:
+        return self.end - self.start
+
+
+def tokenize(text: str) -> list[Token]:
+    """Split normalized text into word tokens.
+
+    Tokens are maximal alphanumeric runs; internal apostrophes and hyphens
+    stay inside the token. ``letter_count`` counts alphabetic characters
+    only, so digits and the joining punctuation are excluded.
+    """
+    return [
+        Token(
+            text=m.group(),
+            letter_count=sum(1 for ch in m.group() if ch.isalpha()),
+            start=m.start(),
+            end=m.end(),
+        )
+        for m in _TOKEN_RE.finditer(text)
+    ]
+
+
+def split_sentences(text: str, tokens: list[Token]) -> list[Sentence]:
+    """Group ``tokens`` into sentences of the normalized ``text``.
+
+    A boundary occurs after each run of '.', '!', '?' or ';'. Text with
+    tokens but no terminator forms exactly one sentence; tokenless text
+    yields no sentences. Every token belongs to exactly one sentence.
+    """
+    sentences: list[Sentence] = []
+    first = 0
+    total = len(tokens)
+    for match in _TERMINATOR_RE.finditer(text):
+        cut = match.end()
+        last = first
+        while last < total and tokens[last].start < cut:
+            last += 1
+        if last > first:
+            sentences.append(Sentence(first, last))
+            first = last
+    if first < total:
+        sentences.append(Sentence(first, total))
+    return sentences
 
 
 def naive_is_participle(word: str) -> bool:

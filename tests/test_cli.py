@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
-import gc
 import json
 import os
 import re
@@ -28,13 +27,6 @@ def corpus(tmp_path):
         encoding="utf-8",
     )
     return path
-
-
-@pytest.fixture
-def gc_restored():
-    """Re-enable the cyclic collector after a test that calls main()."""
-    yield
-    gc.enable()
 
 
 @pytest.fixture
@@ -157,7 +149,7 @@ class TestExitCodes:
         assert run(["--help"]) == EXIT_OK
         assert "--fail-on-flagged" in capsys.readouterr().out
 
-    def test_main_raises_systemexit(self, corpus, capsys, monkeypatch, gc_restored):
+    def test_main_raises_systemexit(self, corpus, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["reqsmell", "--input", str(corpus)])
         with pytest.raises(SystemExit) as info:
             main()
@@ -309,10 +301,9 @@ class TestModuleInvocation:
         assert result.stdout == "[]\n[]\n[]\n"
 
     def test_cyclic_garbage_does_not_grow_with_the_corpus(self, tmp_path):
-        # main() runs without the cyclic collector. That is safe because a
-        # run leaves the same small amount of cyclic garbage (from argparse
-        # and json) whatever the row count, so a 20x corpus must leave no
-        # more than the sample one.
+        # A run may leave a small, fixed amount of cyclic garbage (from
+        # argparse and json) but must create no cycles that grow with the
+        # input, so a 20x corpus must leave no more than the sample one.
         sample = Path(__file__).parent / "data" / "sample_corpus.csv"
         header, *rows = sample.read_text(encoding="utf-8").splitlines(keepends=True)
         large = tmp_path / "large.csv"
@@ -342,15 +333,6 @@ class TestModuleInvocation:
         small_count, large_count = map(int, result.stdout.split())
         assert small_count == large_count
         assert json.loads((tmp_path / "out.json").read_text())["summary"]["requirement_count"] == 200
-
-    def test_main_disables_the_collector_and_run_does_not(self, corpus, capsys, monkeypatch, gc_restored):
-        assert run(["--input", str(corpus)]) == EXIT_OK
-        assert gc.isenabled()
-        monkeypatch.setattr(sys, "argv", ["reqsmell", "--input", str(corpus)])
-        with pytest.raises(SystemExit):
-            main()
-        assert not gc.isenabled()
-        capsys.readouterr()
 
     def test_version_matches_pyproject(self):
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

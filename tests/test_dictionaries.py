@@ -10,14 +10,13 @@ from reqsmell.dictionaries import (
     PhraseMatcher,
     PhrasePattern,
     builtin_dictionaries,
-    format_dictionary_file,
     is_participle,
     load_dictionary_file,
 )
 from reqsmell.errors import MalformedDictionaryError
-from reqsmell.text import normalize, tokenize
+from reqsmell.text import normalize
 
-from oracle import naive_scan
+from oracle import naive_scan, tokenize
 
 
 def _phrases(dictionary):
@@ -215,25 +214,41 @@ class TestLoader:
         with pytest.raises(OSError):
             load_dictionary_file(tmp_path / "nope.txt")
 
-    def test_round_trip(self, tmp_path):
-        source = tmp_path / "dict.txt"
-        source.write_text(
-            "[V]\nshould have <PP>\nfoggy\n[NC]\nand\nor\n", encoding="utf-8"
-        )
-        first = load_dictionary_file(source)
-        rewritten = tmp_path / "rewritten.txt"
-        rewritten.write_text(format_dictionary_file(first), encoding="utf-8")
-        second = load_dictionary_file(rewritten)
-        for metric in DICTIONARY_METRICS:
-            assert second[metric].patterns == first[metric].patterns
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_only_newline_ends_a_line(self, tmp_path, separator):
+        # str.splitlines() would also break at these; a comment holding one
+        # must stay a comment, and later line numbers must stay right.
+        path = tmp_path / "dict.txt"
+        path.write_bytes(f"# a{separator}b\n[V]\nmay\n".encode("utf-8"))
+        assert _phrases(load_dictionary_file(path)["V"]) == {"may"}
+        path.write_bytes(f"# a{separator}b\n[V]\nmay\n[XX]\n".encode("utf-8"))
+        with pytest.raises(MalformedDictionaryError) as info:
+            load_dictionary_file(path)
+        assert info.value.line == 4
+
+    @pytest.mark.parametrize(
+        "phrase", ["e.g.", "i.e.", "see ref. 3", "stop! now", "a; b", "should have. <PP>", "must have ; <PP>"]
+    )
+    def test_phrase_cut_into_sentences_rejected_with_line(self, tmp_path, phrase):
+        path = tmp_path / "dict.txt"
+        path.write_text(f"[NR2]\nfigure\n{phrase}\n", encoding="utf-8")
+        with pytest.raises(MalformedDictionaryError) as info:
+            load_dictionary_file(path)
+        assert info.value.line == 3
+        assert "sentence boundary" in str(info.value)
+
+    def test_terminator_that_cuts_no_sentence_loads(self, tmp_path):
+        path = tmp_path / "dict.txt"
+        path.write_text("[NR2]\nsee note.\n...as such?!\n;must have <PP>\n", encoding="utf-8")
+        assert _phrases(load_dictionary_file(path)["NR2"]) == {"see note", "as such", "must have <PP>"}
 
 
 class TestPhraseParsing:
     def test_loaded_phrases_equal_tokenize_parse(self, tmp_path):
         # Slots, hyphens, apostrophes, terminators and non-ASCII letters.
         lines = [
-            "Should-Have <PP>", "must have <pp>", "don't ever", "re-use; as such",
-            "see ref. 3!", "it’s  Café", "up-to-date?", "x_y z",
+            "Should-Have <PP>", "must have <pp>", "don't ever", "re-use as such;",
+            "see ref 3!", "it’s  Café", "up-to-date?", "x_y z",
         ]
         path = tmp_path / "dict.txt"
         path.write_text("[V]\n" + "\n".join(lines) + "\n", encoding="utf-8")

@@ -1,16 +1,12 @@
 """Unit tests for the metric engine: counting, readability, full vectors."""
 
+import gc
+
 import pytest
 
 from reqsmell.dictionaries import DICTIONARY_METRICS, builtin_dictionaries
 from reqsmell.ingestion import Requirement
-from reqsmell.metrics import (
-    ALL_METRICS,
-    AnalysisConfig,
-    MatchSpan,
-    analyze_text,
-    compute_readability,
-)
+from reqsmell.metrics import ALL_METRICS, AnalysisConfig, analyze_text
 from reqsmell.text import normalize, scan
 
 from oracle import naive_metric_spans
@@ -19,12 +15,13 @@ CONFIG = AnalysisConfig.default()
 
 
 def _stats(text):
+    """(words, sentences, letters, ARI) of ``text``, ARI from analyze_text."""
     words, sentences, letters = scan(normalize(text))
-    return compute_readability(len(words), len(sentences), letters)
+    return len(words), len(sentences), letters, analyze_text(text, CONFIG).ari
 
 
 def _count(metric, text):
-    spans = [span for span in analyze_text(text, CONFIG).spans if span.metric == metric]
+    spans = [span for span in analyze_text(text, CONFIG).spans if span[0] == metric]
     return len(spans), spans
 
 
@@ -34,7 +31,7 @@ class TestCountMatches:
     def test_vagueness_scan(self):
         count, spans = _count("V", "the system may fail based on some conditions")
         assert count == 3
-        assert [(s.phrase, s.start, s.end) for s in spans] == [
+        assert [(phrase, start, end) for _, phrase, start, end in spans] == [
             ("may", 2, 3),
             ("based on", 4, 6),
             ("some", 6, 7),
@@ -47,12 +44,12 @@ class TestCountMatches:
     def test_longest_match_suppresses_nested_phrase(self):
         count, spans = _count("NR1", "see reference 5 and see document 2")
         assert count == 2
-        assert [s.phrase for s in spans] == ["see reference", "see document"]
+        assert [phrase for _, phrase, _, _ in spans] == ["see reference", "see document"]
 
     def test_participle_slot_records_concrete_token(self):
         count, spans = _count("V", "should have implemented")
         assert count == 1
-        assert spans[0] == MatchSpan("V", "should have implemented", 0, 3)
+        assert spans[0] == ("V", "should have implemented", 0, 3)
 
     def test_match_never_crosses_sentence_boundary(self):
         assert _count("V", "be able to run")[0] == 1
@@ -61,13 +58,13 @@ class TestCountMatches:
     def test_span_offsets_in_later_sentences(self):
         count, spans = _count("NR1", "may stop. see reference 2.")
         assert count == 1
-        assert spans == [MatchSpan("NR1", "see reference", 2, 4)]
+        assert spans == [("NR1", "see reference", 2, 4)]
 
     def test_spans_disjoint_within_metric(self):
         _, spans = _count("V", "may be able to fail, based on some appropriate data")
         claimed = set()
-        for span in spans:
-            indices = set(range(span.start, span.end))
+        for _, _, start, end in spans:
+            indices = set(range(start, end))
             assert not indices & claimed
             claimed |= indices
 
@@ -75,40 +72,31 @@ class TestCountMatches:
         text = "the system may fail based on some conditions. see reference 2."
         _, spans = _count("V", text)
         expected = naive_metric_spans(text, builtin_dictionaries()["V"])
-        assert [(s.start, s.end, s.phrase) for s in spans] == expected
+        assert [(start, end, phrase) for _, phrase, start, end in spans] == expected
 
 
 class TestComputeReadability:
+    """ARI = words / sentences + 9 * letters / words, as analyze_text
+    computes it."""
+
     def test_single_sentence(self):
-        stats = _stats("the cat sat.")
-        assert stats.words_per_sentence == 3.0
-        assert stats.letters_per_word == 3.0
-        assert stats.ari == 30.0
+        # 3 words per sentence, 3 letters per word
+        assert _stats("the cat sat.") == (3, 1, 9, 30.0)
 
     def test_two_sentences(self):
-        stats = _stats("aa bb. cc dd.")
-        assert stats.words_per_sentence == 2.0
-        assert stats.letters_per_word == 2.0
-        assert stats.ari == 20.0
+        # 2 words per sentence, 2 letters per word
+        assert _stats("aa bb. cc dd.") == (4, 2, 8, 20.0)
 
     def test_empty_text(self):
-        stats = _stats("")
-        assert stats.word_count == 0
-        assert stats.sentence_count == 0
-        assert stats.words_per_sentence == 0.0
-        assert stats.letters_per_word == 0.0
-        assert stats.ari == 0.0
+        assert _stats("") == (0, 0, 0, 0.0)
 
     def test_digits_do_not_count_as_letters(self):
-        stats = _stats("ab1 cd.")
-        assert stats.word_count == 2
-        assert stats.letter_count == 4
-        assert stats.ari == 2.0 + 9.0 * 2.0
+        assert _stats("ab1 cd.") == (2, 1, 4, 2.0 + 9.0 * 2.0)
 
     def test_fractional_average(self):
         # 8 words, 37 letters, one sentence: 8 + 9 * 37/8
-        stats = _stats("the system may fail based on some conditions")
-        assert stats.ari == pytest.approx(49.625, abs=1e-9)
+        *_, ari = _stats("the system may fail based on some conditions")
+        assert ari == pytest.approx(49.625, abs=1e-9)
 
 
 class TestAnalyzeText:
@@ -149,7 +137,7 @@ class TestAnalyzeText:
             CONFIG,
         )
         for metric in ("V", "NR1", "NR2", "O", "S", "W", "NC"):
-            observed = sum(1 for span in vector.spans if span.metric == metric)
+            observed = sum(1 for span in vector.spans if span[0] == metric)
             assert vector.value(metric) == observed
 
     def test_case_insensitive(self):
@@ -158,6 +146,18 @@ class TestAnalyzeText:
         lower = analyze_text(text.lower(), CONFIG)
         assert upper.as_dict() == lower.as_dict()
         assert upper.spans == lower.spans
+
+    def test_spans_are_untracked_after_collection(self):
+        # A collection untracks an exact tuple whose items are all untracked;
+        # a tuple subclass is never untracked, and every full collection
+        # would walk every span of every report. Each collection untracks
+        # one level of nesting: the spans, then the tuple holding them.
+        vector = analyze_text("the user may see reference 4 and note the table.", CONFIG)
+        assert len(vector.spans) >= 4
+        gc.collect()
+        assert not any(map(gc.is_tracked, vector.spans))
+        gc.collect()
+        assert not gc.is_tracked(vector.spans)
 
     def test_determinism(self):
         text = "see reference 2 and be able to have an effective, timely answer."

@@ -12,7 +12,7 @@ from reqsmell import reporting
 from reqsmell.dictionaries import BUILTIN, DICTIONARY_METRICS
 from reqsmell.errors import MalformedThresholdError
 from reqsmell.ingestion import ColumnMapping, Requirement, load_requirements
-from reqsmell.metrics import ALL_METRICS, AnalysisConfig, MatchSpan, MetricVector, analyze_text
+from reqsmell.metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 from reqsmell.reporting import (
     RequirementEntry,
     ThresholdRule,
@@ -278,8 +278,8 @@ def _reference_json(report):
                 "id": entry.id,
                 "metrics": entry.vector.as_dict(),
                 "spans": [
-                    {"metric": s.metric, "phrase": s.phrase, "start": s.start, "end": s.end}
-                    for s in entry.vector.spans
+                    {"metric": metric, "phrase": phrase, "start": start, "end": end}
+                    for metric, phrase, start, end in entry.vector.spans
                 ],
                 "flags": list(entry.flags),
                 "warnings": list(entry.warnings),
@@ -300,8 +300,10 @@ class TestRenderJsonEncoding:
             **kwargs,
         )
         vector = report.entries[-1].vector
-        spans = tuple(span._replace(phrase=span.phrase + self.AWKWARD) for span in vector.spans)
-        spans += (MatchSpan("V", self.AWKWARD, 0, 1),)
+        spans = tuple(
+            (metric, phrase + self.AWKWARD, start, end) for metric, phrase, start, end in vector.spans
+        )
+        spans += (("V", self.AWKWARD, 0, 1),)
         entry = RequirementEntry(
             id=self.AWKWARD,
             vector=vector._replace(spans=spans),
@@ -382,6 +384,21 @@ class TestRenderTable:
 
     def test_byte_determinism(self):
         assert render_table(make_report()) == render_table(make_report())
+
+    def test_non_printable_id_characters_are_escaped(self):
+        ids = ["R\n1", "R\r\n2", "R\x853", "R\u20284", "R\t5", "R\x006", "Ré 7"]
+        report = make_report(
+            requirements=[Requirement(id=i, text="may", row=n) for n, i in enumerate(ids, 2)]
+        )
+        lines = render_table(report).decode("utf-8").splitlines()
+        rows = lines[2:len(ids) + 2]
+        assert lines[len(ids) + 2] == ""
+        width = len(lines[1].split()[0])
+        assert [row[:width].rstrip() for row in rows] == [
+            "R\\n1", "R\\r\\n2", "R\\x853", "R\\u20284", "R\\t5", "R\\x006", "Ré 7",
+        ]
+        # Same values in every row, so equal lengths mean aligned columns.
+        assert len({len(row) for row in rows}) == 1
 
 
 class TestFormatAgreement:

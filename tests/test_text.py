@@ -1,16 +1,25 @@
-"""Unit tests for normalization, tokenization, and sentence splitting."""
+"""Unit tests for normalization and the one-pass scan.
 
-from reqsmell.text import normalize, split_sentences, tokenize
+Per-token detail (letter counts, character offsets) exists only in the
+reference tokenizer of ``oracle.py``; those cases check it there.
+"""
+
+from reqsmell.text import normalize, scan
+
+from oracle import tokenize
 
 
-def _texts(tokens):
-    return [tok.text for tok in tokens]
+def _words(text):
+    return scan(text)[0]
 
 
 def _sentences_of(text):
-    normalized = normalize(text)
-    tokens = tokenize(normalized)
-    return tokens, split_sentences(normalized, tokens)
+    words, sentences, _ = scan(normalize(text))
+    return words, sentences
+
+
+def _lengths(sentences):
+    return [end - start for start, end in sentences]
 
 
 class TestNormalize:
@@ -28,33 +37,36 @@ class TestNormalize:
 
     def test_composes_nfc(self):
         # "é" precomposed vs "e" + combining acute normalize identically
-        assert normalize("café") == normalize("café")
+        assert normalize("café") == normalize("café")
 
 
 class TestTokenize:
     def test_simple_words(self):
-        tokens = tokenize(normalize("the cat sat."))
-        assert _texts(tokens) == ["the", "cat", "sat"]
-        assert [tok.letter_count for tok in tokens] == [3, 3, 3]
+        words, _, letters = scan(normalize("the cat sat."))
+        assert words == ["the", "cat", "sat"]
+        assert letters == 9
+        assert [tok.letter_count for tok in tokenize(normalize("the cat sat."))] == [3, 3, 3]
 
     def test_internal_apostrophe_and_hyphen(self):
-        assert _texts(tokenize("don't re-use")) == ["don't", "re-use"]
+        assert _words("don't re-use") == ["don't", "re-use"]
 
     def test_empty(self):
+        assert scan("") == ([], [], 0)
         assert tokenize("") == []
 
     def test_digits_count_as_token_but_not_letters(self):
-        tokens = tokenize("3rd item 42")
-        assert _texts(tokens) == ["3rd", "item", "42"]
-        assert [tok.letter_count for tok in tokens] == [2, 4, 0]
+        words, _, letters = scan("3rd item 42")
+        assert words == ["3rd", "item", "42"]
+        assert letters == 6
+        assert [tok.letter_count for tok in tokenize("3rd item 42")] == [2, 4, 0]
 
     def test_leading_trailing_punctuation_dropped(self):
-        assert _texts(tokenize("'quoted' (word) -dash- a--b")) == [
+        assert _words("'quoted' (word) -dash- a--b") == [
             "quoted", "word", "dash", "a", "b",
         ]
 
     def test_underscore_separates(self):
-        assert _texts(tokenize("a_b")) == ["a", "b"]
+        assert _words("a_b") == ["a", "b"]
 
     def test_offsets_point_into_source(self):
         text = normalize("see Figure 3.")
@@ -64,14 +76,13 @@ class TestTokenize:
 
 class TestSplitSentences:
     def test_three_terminators(self):
-        tokens, sentences = _sentences_of("a b. c d? e!")
-        assert [s.token_count for s in sentences] == [2, 2, 1]
-        assert [(s.start, s.end) for s in sentences] == [(0, 2), (2, 4), (4, 5)]
+        _, sentences = _sentences_of("a b. c d? e!")
+        assert _lengths(sentences) == [2, 2, 1]
+        assert sentences == [(0, 2), (2, 4), (4, 5)]
 
     def test_no_terminator_is_one_sentence(self):
         _, sentences = _sentences_of("no terminator here")
-        assert len(sentences) == 1
-        assert sentences[0].token_count == 3
+        assert sentences == [(0, 3)]
 
     def test_empty_text_has_no_sentences(self):
         _, sentences = _sentences_of("")
@@ -79,18 +90,18 @@ class TestSplitSentences:
 
     def test_semicolon_is_a_boundary(self):
         _, sentences = _sentences_of("first part; second part")
-        assert [s.token_count for s in sentences] == [2, 2]
+        assert _lengths(sentences) == [2, 2]
 
     def test_terminator_run_is_one_boundary(self):
         _, sentences = _sentences_of("wait... then go?!")
-        assert [s.token_count for s in sentences] == [1, 2]
+        assert _lengths(sentences) == [1, 2]
 
     def test_punctuation_only_text(self):
         _, sentences = _sentences_of("?! ...")
         assert sentences == []
 
     def test_partition_covers_all_tokens(self):
-        tokens, sentences = _sentences_of("a b. c; d e f! g")
-        assert sum(s.token_count for s in sentences) == len(tokens)
-        flat = [i for s in sentences for i in range(s.start, s.end)]
-        assert flat == list(range(len(tokens)))
+        words, sentences = _sentences_of("a b. c; d e f! g")
+        assert sum(_lengths(sentences)) == len(words)
+        flat = [i for start, end in sentences for i in range(start, end)]
+        assert flat == list(range(len(words)))
