@@ -12,7 +12,7 @@ import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from reqsmell.dictionaries import (
@@ -338,29 +338,36 @@ class TestLoadedPatternsMatch:
                 text = _own_text(" ".join(pattern.tokens), pattern.participle_slot)
                 assert analyze_text(text, CONFIG).value(metric) >= 1, (metric, text)
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.sampled_from(DICTIONARY_METRICS),
-        st.lists(
-            st.tuples(st.text(alphabet="abAé '-,.!?;", min_size=1, max_size=10), st.booleans()),
-            min_size=1,
-            max_size=4,
-        ),
-    )
-    def test_generated_patterns(self, metric, entries):
-        source = f"[{metric}]\n" + "".join(
-            phrase + (" <PP>" if slot else "") + "\n" for phrase, slot in entries
+    def test_generated_patterns(self):
+        loaded = []
+
+        # One phrase per file, so a file that loads is that phrase's verdict.
+        @settings(max_examples=150, deadline=None)
+        @given(
+            st.sampled_from(DICTIONARY_METRICS),
+            st.text(alphabet="abAé '-,.!?;", min_size=1, max_size=10),
+            st.booleans(),
         )
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "dict.txt"
-            path.write_text(source, encoding="utf-8")
-            try:
-                config = AnalysisConfig.from_dictionaries(load_dictionary_file(path))
-            except MalformedDictionaryError:
-                return
-        for phrase, slot in entries:
+        def check(metric, phrase, slot):
+            source = f"[{metric}]\n{phrase}{' <PP>' if slot else ''}\n"
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "dict.txt"
+                path.write_text(source, encoding="utf-8")
+                try:
+                    config = AnalysisConfig.from_dictionaries(load_dictionary_file(path))
+                except MalformedDictionaryError:
+                    reject()
+            loaded.append((phrase, slot))
             text = _own_text(phrase, slot)
             assert analyze_text(text, config).value(metric) >= 1, (source, text)
+
+        check()
+        # The property holds only for files that load: enough drawn phrases
+        # must, of each kind a loader could wrongly refuse.
+        assert len(loaded) >= 100
+        assert sum(len(scan(normalize(phrase))[0]) > 1 for phrase, _ in loaded) >= 5
+        assert sum(any(t in phrase for t in ".!?;") for phrase, _ in loaded) >= 20
+        assert sum(slot for _, slot in loaded) >= 20
 
 
 # Inputs for the command line: CSV bytes from a few header shapes and a body
