@@ -10,6 +10,7 @@ import csv
 import io
 import math
 import os
+import unicodedata
 from operator import attrgetter, ge, gt, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -423,6 +424,19 @@ def _table_text(text: str) -> str:
     return text if text.isprintable() else "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
+def _columns(text: str) -> int:
+    """Terminal columns of printable ``text``: East Asian wide and fullwidth
+    characters take two, combining marks none, every other character one."""
+    if text.isascii():
+        return len(text)
+    return sum(
+        0 if unicodedata.category(c) in ("Mn", "Me")
+        else 2 if unicodedata.east_asian_width(c) in ("W", "F")
+        else 1
+        for c in text
+    )
+
+
 def render_table(report: AnalysisReport) -> bytes:
     headers = ["id", *ALL_METRICS, "flags"]
     rows = [
@@ -430,14 +444,19 @@ def render_table(report: AnalysisReport) -> bytes:
         for entry in report.entries
     ]
 
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    # id and flags left-aligned, numbers right-aligned
+    widths = [max(map(_columns, column)) for column in zip(headers, *rows)]
+    # id and flags left-aligned, numbers right-aligned. Only the id can hold
+    # non-ASCII text, so only it is padded by hand: str.format counts code
+    # points, not terminal columns.
     template = "  ".join(
-        [f"{{:<{widths[0]}}}", *(f"{{:>{width}}}" for width in widths[1:-1]), f"{{:<{widths[-1]}}}"]
+        ["{}", *(f"{{:>{width}}}" for width in widths[1:-1]), f"{{:<{widths[-1]}}}"]
     )
 
     dashes = ["-" * width for width in widths]
-    lines = [template.format(*row).rstrip() for row in (headers, dashes, *rows)]
+    lines = [
+        template.format(row[0] + " " * (widths[0] - _columns(row[0])), *row[1:]).rstrip()
+        for row in (headers, dashes, *rows)
+    ]
     summary = report.summary
     lines.append("")
     lines.append(

@@ -13,22 +13,24 @@ from itertools import accumulate, chain
 # [^\W_] is "word character minus underscore", i.e. Unicode alphanumeric.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
 
-# A sentence boundary is a run of terminator characters.
-_TERMINATOR_RE = re.compile(r"[.!?;]+")
-
 # Characters outside ASCII, one match each, for the letter count.
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
+# Characters outside ASCII that are neither alphanumeric nor the joiner ’.
+# scan blanks them with one linear sub (not a loop over distinct characters)
+# on the str, before encoding, so a lone surrogate stays a separator.
+_BLANK_RE = re.compile(r"[^\x00-\x7f\w’]")
+
 _ASCII_LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
-# For ASCII text: every terminator becomes ".", every other character that
-# is neither alphanumeric nor a joiner (apostrophe, hyphen) becomes a space.
-# Sentences are then the "."-separated segments and, in a segment without
-# joiners, words are its whitespace-separated runs.
-_ASCII_SCAN = {
-    ord(c): "." if c in ".!?;" else c if c.isalnum() or c in "'-" else " "
-    for c in map(chr, range(128))
-}
+# For the UTF-8 of blanked text: terminators become ".", other ASCII bytes
+# that are neither alphanumeric nor a joiner (' and -) become spaces, and
+# bytes >= 0x80 stay, so it still decodes. Sentences are then the "."-cut
+# segments and, in a segment without joiners, words its whitespace runs.
+_SCAN_TABLE = "".join(
+    "." if c in ".!?;" else c if c.isalnum() or c in "'-" or c > "\x7f" else " "
+    for c in map(chr, range(256))
+).encode("latin-1")
 
 
 def normalize(text: str) -> str:
@@ -50,32 +52,28 @@ def scan(text: str) -> tuple[list[str], list[tuple[int, int]], int]:
     in order, and text without words has none. The letter total counts
     alphabetic characters only, so digits and joiners are excluded.
 
-    Splitting at terminator runs first is exact because no word contains a
-    terminator, and the letters can be counted over the whole text because
-    every alphabetic character lies inside some word.
+    One path for every text: one ``sub`` blanks the non-ASCII separators,
+    one ``bytes.translate`` maps the UTF-8, and two C-level splits cut it;
+    only a segment with a joiner needs the token regex, to keep "don't"
+    whole and drop a stray "-". Cutting at terminators first is exact as no
+    word holds one, and every alphabetic character lies inside some word.
     """
-    raw = text.encode("ascii", "ignore")
-    # ASCII letters are the only alphabetic ASCII characters, so bytes count
-    # them about ten times faster than str.isalpha; only the other
-    # characters need the Unicode test.
-    letters = len(raw) - len(raw.translate(None, _ASCII_LETTERS))
-    if text.isascii():
-        # One translate and two C-level splits; only a segment with a joiner
-        # needs the token regex, to keep "don't" whole and drop a stray "-".
-        cut = text.translate(_ASCII_SCAN)
-        split = _ascii_words if "'" in cut or "-" in cut else str.split
-        segments = list(filter(None, map(split, cut.split("."))))
-    else:
-        # Outside ASCII, str.translate leaves its fast path and measured
-        # slower than the regex.
-        segments = list(filter(None, map(_TOKEN_RE.findall, _TERMINATOR_RE.split(text))))
-        letters += sum(map(str.isalpha, _NON_ASCII_RE.findall(text)))
+    letters = 0
+    if not text.isascii():
+        text = _BLANK_RE.sub(" ", text)
+        letters = sum(map(str.isalpha, _NON_ASCII_RE.findall(text)))
+    raw = text.encode()
+    # Bytes count the ASCII letters ten times faster than str.isalpha.
+    letters += len(raw) - len(raw.translate(None, _ASCII_LETTERS))
+    cut = raw.translate(_SCAN_TABLE).decode()
+    split = _words if "'" in cut or "-" in cut or "’" in cut else str.split
+    segments = list(filter(None, map(split, cut.split("."))))
     ends = list(accumulate(map(len, segments)))
     return list(chain.from_iterable(segments)), list(zip([0] + ends, ends)), letters
 
 
-def _ascii_words(segment: str) -> list[str]:
-    """Words of one translated ASCII segment (see :data:`_ASCII_SCAN`)."""
-    if "'" in segment or "-" in segment:
+def _words(segment: str) -> list[str]:
+    """Words of one translated segment (see :data:`_SCAN_TABLE`)."""
+    if "'" in segment or "-" in segment or "’" in segment:
         return _TOKEN_RE.findall(segment)
     return segment.split()

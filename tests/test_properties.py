@@ -92,14 +92,15 @@ class TestTextCore:
 
 # Characters at the edges of the token and letter rules: combining marks,
 # numerics that are not decimal digits, the underscore, both apostrophes,
-# the hyphen and every terminator.
-_EDGE_CHARACTERS = "a\u0301\u0308²½_'’-.!?; x9ßİﬃ"
+# the hyphen, every terminator, lone surrogates (which st.characters() never
+# draws) and non-ASCII separators that scan blanks before it encodes.
+_EDGE_CHARACTERS = "a\u0301\u0308²½_'’-.!?; x9ßİﬃ\ud800\udfff°“–\u3000。"
 
 
-# Mostly-ASCII texts, for the translate-and-split path of scan: joiners
-# alone, doubled, at word edges and inside words, the underscore, terminator
-# runs, tabs, control characters, digits and mixed case, with one
-# occasional non-ASCII character that sends a text down the regex path.
+# Mostly-ASCII texts: joiners alone, doubled, at word edges and inside
+# words, the underscore, terminator runs, tabs, control characters, digits
+# and mixed case, with an occasional non-ASCII letter, joiner, separator or
+# lone surrogate, which scan must blank or keep without changing the rest.
 _ASCII_PIECES = st.one_of(
     st.text(alphabet=st.characters(max_codepoint=127), max_size=6),
     st.text(alphabet="aZ09'-_.!?; \t\x00\x0b\x1f\x7f", min_size=1, max_size=8),
@@ -118,7 +119,7 @@ def _with_one_character(parts, character, at):
 _ascii_heavy = st.builds(
     _with_one_character,
     st.lists(_ASCII_PIECES, max_size=20),
-    st.sampled_from(["", "", "", "", "", "’", "é"]),
+    st.sampled_from(["", "", "", "", "", "’", "é", "\ud800", "\udfff", "°", "“", "–", "\u3000", "。"]),
     st.integers(min_value=0),
 )
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -399,6 +400,21 @@ class TestRenderTable:
         ]
         # Same values in every row, so equal lengths mean aligned columns.
         assert len({len(row) for row in rows}) == 1
+
+    def test_wide_and_combining_id_characters_keep_columns_aligned(self):
+        # Each id with its terminal columns minus its code points: CJK
+        # ideographs take two columns, a combining accent none.
+        ids = {"你好你好": 4, "R1": 0, "Re\u0301": -1}
+        report = make_report(
+            requirements=[Requirement(id=i, text="may", row=n) for n, i in enumerate(ids, 2)]
+        )
+        lines = render_table(report).decode("utf-8").splitlines()
+        nw = 1 + ALL_METRICS.index("NW")
+        ends = [
+            [m.end() for m in re.finditer(r"\S+", line)][nw] + extra
+            for line, extra in zip(lines, [0, 0, *ids.values()])
+        ]
+        assert ends == [ends[0]] * 5
 
 
 class TestFormatAgreement:

@@ -68,6 +68,12 @@ class TestTokenize:
     def test_underscore_separates(self):
         assert _words("a_b") == ["a", "b"]
 
+    def test_lone_surrogate_separates(self):
+        # A scan that encodes before blanking raises UnicodeEncodeError here.
+        assert scan(normalize("the pump may stop \ud800 or not")) == (
+            ["the", "pump", "may", "stop", "or", "not"], [(0, 6)], 19,
+        )
+
     def test_offsets_point_into_source(self):
         text = normalize("see Figure 3.")
         for tok in tokenize(text):
