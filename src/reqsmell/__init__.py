@@ -30,12 +30,10 @@ from .reporting import (
     AnalysisReport,
     RequirementEntry,
     ThresholdRule,
-    apply_thresholds,
     build_report,
     load_threshold_file,
     parse_threshold_rules,
     render,
-    summarize,
 )
 from .text import normalize
 
@@ -64,7 +62,6 @@ __all__ = [
     "RowArityError",
     "ThresholdRule",
     "analyze_text",
-    "apply_thresholds",
     "build_report",
     "builtin_dictionaries",
     "load_dictionary_file",
@@ -73,5 +70,4 @@ __all__ = [
     "normalize",
     "parse_threshold_rules",
     "render",
-    "summarize",
 ]

@@ -17,7 +17,7 @@ from itertools import compress, repeat
 from operator import is_not, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import MalformedDictionaryError, ValidatedTuple
+from .errors import MalformedDictionaryError, ValidatedTuple, read_lines
 from .text import _TOKEN_RE, normalize, scan
 
 # Metric identifiers, in report order. These are part of the file-format and
@@ -30,16 +30,16 @@ USER_FILE = "user-file"
 # Marker for "one past-participle token follows" at the end of a phrase line.
 PARTICIPLE_MARKER = "<PP>"
 
-# V: words and phrases that admit several readings.
+# V: words and phrases that admit several readings, and "should have"/"must
+# have" followed by a past participle.
 _VAGUENESS_PHRASES = (
     "may", "could", "has to", "have to", "might", "will",
     "all the other", "all other", "based on", "some", "appropriate",
     "as a", "as an", "a minimum", "up to", "adequate", "as applicable",
     "be able to", "be capable", "but not limited to", "capability of",
     "capability to", "effective", "normal",
+    "should have <PP>", "must have <PP>",
 )
-# V, continued: "should have"/"must have" followed by a past participle.
-_VAGUENESS_PARTICIPLE_PREFIXES = ("should have", "must have")
 
 # NR1: phrases that point the reader at another document.
 _DOCUMENT_REFERENCE_PHRASES = (
@@ -118,11 +118,6 @@ class PhrasePattern(ValidatedTuple, _PhrasePatternFields):
             raise ValueError("pattern tokens must be non-empty")
 
     @property
-    def length(self) -> int:
-        """Number of tokens a match consumes, slot included."""
-        return len(self.tokens) + (1 if self.participle_slot else 0)
-
-    @property
     def phrase(self) -> str:
         suffix = f" {PARTICIPLE_MARKER}" if self.participle_slot else ""
         return " ".join(self.tokens) + suffix
@@ -149,21 +144,15 @@ class Dictionary(ValidatedTuple, _DictionaryFields):
             raise ValueError(f"dictionary {self.metric_id} has duplicate token lists")
 
 
-def _phrase_pattern(phrase: str, participle_slot: bool = False) -> PhrasePattern:
-    return PhrasePattern(tuple(_TOKEN_RE.findall(normalize(phrase))), participle_slot)
-
-
-def _builtin(metric_id: str, phrases: Iterable[str],
-             participle_prefixes: Iterable[str] = ()) -> Dictionary:
-    patterns = {_phrase_pattern(p) for p in phrases}
-    patterns |= {_phrase_pattern(p, participle_slot=True) for p in participle_prefixes}
-    return Dictionary(metric_id, frozenset(patterns), origin=BUILTIN)
+def _builtin(metric_id: str, phrases: Iterable[str]) -> Dictionary:
+    patterns = frozenset(_parse_phrase_line(p, n) for n, p in enumerate(phrases, start=1))
+    return Dictionary(metric_id, patterns, origin=BUILTIN)
 
 
 def builtin_dictionaries() -> dict[str, Dictionary]:
     """The seven shipped dictionaries, keyed by metric id in report order."""
     return {
-        "V": _builtin("V", _VAGUENESS_PHRASES, _VAGUENESS_PARTICIPLE_PREFIXES),
+        "V": _builtin("V", _VAGUENESS_PHRASES),
         "NR1": _builtin("NR1", _DOCUMENT_REFERENCE_PHRASES),
         "NR2": _builtin("NR2", _NOTATION_REFERENCE_PHRASES),
         "O": _builtin("O", _OPTIONALITY_PHRASES),
@@ -292,9 +281,10 @@ def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
         slot = fields[-1].upper() == PARTICIPLE_MARKER
         if slot:
             fields.pop()
-        if any(f.upper() == PARTICIPLE_MARKER for f in fields):
+        if any(PARTICIPLE_MARKER in f.upper() for f in fields):
             raise MalformedDictionaryError(
-                f"{PARTICIPLE_MARKER} is only allowed at the end of a phrase", lineno
+                f"{PARTICIPLE_MARKER} is only allowed at the end of a phrase, as its own word",
+                lineno,
             )
     tokens = tuple(_TOKEN_RE.findall(normalize(" ".join(fields))))
     if not tokens:
@@ -316,16 +306,9 @@ def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
     Returns all seven dictionaries: a ``[METRIC]`` section in the file fully
     replaces that metric's built-in list; absent metrics keep theirs. Lines
     are normalized like requirement text, ``#`` starts a comment, and a
-    trailing ``<PP>`` marks a participle slot.
+    ``<PP>`` as the last word marks a participle slot.
     """
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        try:
-            # Split at "\n" only, as load_threshold_file does: the lines and
-            # their numbers are those of iterating the file.
-            raw_lines = handle.read().split("\n")
-        except UnicodeDecodeError as exc:
-            raise MalformedDictionaryError(f"file is not valid UTF-8 ({exc.reason})") from exc
-
+    raw_lines = read_lines(path, MalformedDictionaryError)
     sections: dict[str, list[PhrasePattern]] = {}
     current: str | None = None
     current_header_line = 0

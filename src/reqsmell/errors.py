@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the mixin that makes
-value types reject invalid fields.
+"""Exception types shared across the package, the line reader of the
+dictionary and threshold files, and the mixin that makes value types
+reject invalid fields.
 
 All expected failure modes derive from :class:`ReqsmellError` so the CLI
 can catch one base class and turn it into a diagnostic plus exit code 1.
@@ -7,25 +8,42 @@ can catch one base class and turn it into a diagnostic plus exit code 1.
 
 from __future__ import annotations
 
+import os
+
 
 class ReqsmellError(Exception):
     """Base class for every expected error raised by this package."""
 
 
-class MalformedDictionaryError(ReqsmellError):
+class MalformedFileError(ReqsmellError):
+    """A dictionary or threshold file violates its line format."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
+
+
+class MalformedDictionaryError(MalformedFileError):
     """A dictionary override file violates the dictionary file format."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
 
-
-class MalformedThresholdError(ReqsmellError):
+class MalformedThresholdError(MalformedFileError):
     """A threshold file violates the ``METRIC OP LIMIT`` line format."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+
+def read_lines(path: str | os.PathLike[str], error: type[MalformedFileError]) -> list[str]:
+    """The lines of the UTF-8 file at ``path``, or ``error`` if it is not
+    UTF-8.
+
+    Lines are split at "\\n" only, so the lines and their numbers are those
+    of iterating the file, whose newline translation already ran; a form
+    feed or U+2028 inside a line does not start a new one.
+    """
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        try:
+            return handle.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise error(f"file is not valid UTF-8 ({exc.reason})") from exc
 
 
 class CorpusError(ReqsmellError):

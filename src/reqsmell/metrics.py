@@ -20,29 +20,30 @@ from .text import normalize, scan
 # All reported metrics, in report order.
 ALL_METRICS = DICTIONARY_METRICS + ("NW", "ARI")
 
+_METRIC_INDEX = {metric: index for index, metric in enumerate(ALL_METRICS)}
+
 
 class MetricVector(NamedTuple):
-    """The nine metric values for one requirement, plus match evidence:
-    one ``(metric, phrase, start, end)`` tuple per dictionary hit, with a
-    half-open word range, as the matcher returns it."""
+    """The nine metric values for one requirement, in report order, plus
+    match evidence: one ``(metric, phrase, start, end)`` tuple per
+    dictionary hit, with a half-open word range, as the matcher returns it."""
 
-    counts: Mapping[str, int]
-    word_count: int
-    ari: float
+    values: tuple[float, ...]
     degenerate: bool
     spans: tuple[tuple[str, str, int, int], ...]
 
+    @property
+    def counts(self) -> dict[str, int]:
+        """The seven dictionary counts keyed by metric id, in report order."""
+        return dict(zip(DICTIONARY_METRICS, self.values))
+
     def value(self, metric_id: str) -> float:
         """Value of any reported metric, counts and NW/ARI alike."""
-        if metric_id == "NW":
-            return self.word_count
-        if metric_id == "ARI":
-            return self.ari
-        return self.counts[metric_id]
+        return self.values[_METRIC_INDEX[metric_id]]
 
     def as_dict(self) -> dict[str, float]:
         """All nine values keyed by metric id, in report order."""
-        return {metric: self.value(metric) for metric in ALL_METRICS}
+        return dict(zip(ALL_METRICS, self.values))
 
 
 class AnalysisConfig(NamedTuple):
@@ -77,9 +78,11 @@ def analyze_text(text: str, config: AnalysisConfig) -> MetricVector:
     found = config.matcher.find_matches(words, sentences)
     nw = len(words)
     return MetricVector(
-        counts=dict(zip(DICTIONARY_METRICS, map(len, found))),
-        word_count=nw,
-        ari=(nw / len(sentences) + 9.0 * (letter_count / nw)) if nw else 0.0,
+        values=(
+            *map(len, found),
+            nw,
+            (nw / len(sentences) + 9.0 * (letter_count / nw)) if nw else 0.0,
+        ),
         degenerate=not nw,
         spans=tuple(chain.from_iterable(found)),
     )

@@ -11,11 +11,11 @@ import io
 import math
 import os
 import unicodedata
-from operator import attrgetter, ge, gt, itemgetter
+from operator import ge, gt, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dictionaries import DICTIONARY_METRICS
-from .errors import MalformedThresholdError, ValidatedTuple
+from .errors import MalformedThresholdError, ValidatedTuple, read_lines
 from .ingestion import ColumnMapping, Requirement
 from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 
@@ -25,16 +25,6 @@ REPORT_FORMATS = ("json", "csv", "table")
 
 # What each comparator tests, as ``comparison(value, limit)``.
 _COMPARISONS = {">": gt, ">=": ge}
-_COMPARATORS = tuple(_COMPARISONS)
-
-# The seven dictionary counts of a vector in report order, read by name in
-# one C call, so the order of the counts mapping does not matter.
-_dictionary_counts = itemgetter(*DICTIONARY_METRICS)
-
-
-def _values(vector: MetricVector) -> tuple:
-    """The nine reported values of ``vector``, in report order."""
-    return (*_dictionary_counts(vector.counts), vector.word_count, vector.ari)
 
 
 class _ThresholdRuleFields(NamedTuple):
@@ -51,10 +41,11 @@ class ThresholdRule(ValidatedTuple, _ThresholdRuleFields):
     def _validate(self) -> None:
         if self.metric_id not in ALL_METRICS:
             raise ValueError(f"unknown metric {self.metric_id!r}")
-        if self.comparator not in _COMPARATORS:
-            raise ValueError(f"comparator must be one of {_COMPARATORS}")
+        if self.comparator not in _COMPARISONS:
+            raise ValueError(f"unknown comparator {self.comparator!r}")
         if not math.isfinite(self.limit):
-            raise ValueError("limit must be a finite number")
+            # A NaN rule never fires and an infinite one cannot be reached.
+            raise ValueError(f"limit must be a finite number, got {self.limit}")
         if self.limit < 0:
             raise ValueError("limit must be non-negative")
 
@@ -72,53 +63,34 @@ def parse_threshold_rules(lines: Iterable[str]) -> tuple[ThresholdRule, ...]:
                 f"expected 'METRIC OP LIMIT', got {line!r}", lineno
             )
         metric, comparator, raw_limit = fields
-        if metric not in ALL_METRICS:
-            raise MalformedThresholdError(f"unknown metric {metric!r}", lineno)
-        if comparator not in _COMPARATORS:
-            raise MalformedThresholdError(f"unknown comparator {comparator!r}", lineno)
         try:
             limit = float(raw_limit)
         except ValueError:
             raise MalformedThresholdError(f"invalid limit {raw_limit!r}", lineno) from None
-        if not math.isfinite(limit):
-            # A NaN rule never fires and an infinite one cannot be reached.
-            raise MalformedThresholdError(f"limit must be a finite number, got {raw_limit!r}", lineno)
-        if limit < 0:
-            raise MalformedThresholdError("limit must be non-negative", lineno)
+        try:
+            rule = ThresholdRule(metric, comparator, limit)
+        except ValueError as exc:
+            raise MalformedThresholdError(str(exc), lineno) from None
         if metric in rules:
             raise MalformedThresholdError(f"duplicate rule for metric {metric}", lineno)
-        rules[metric] = ThresholdRule(metric, comparator, limit)
+        rules[metric] = rule
     return tuple(rules[m] for m in ALL_METRICS if m in rules)
 
 
 def load_threshold_file(path: str | os.PathLike[str]) -> tuple[ThresholdRule, ...]:
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        try:
-            # Split at "\n" only: the lines and their numbers are those of
-            # iterating the file, whose newline translation already ran.
-            lines = handle.read().split("\n")
-        except UnicodeDecodeError as exc:
-            raise MalformedThresholdError(f"file is not valid UTF-8 ({exc.reason})") from exc
-    return parse_threshold_rules(lines)
-
-
-def apply_thresholds(
-    vector: MetricVector, rules: Sequence[ThresholdRule]
-) -> list[str]:
-    """Metric ids of all violated rules, in report order."""
-    return [
-        metric
-        for _, violated, limit, metric in _compile_rules(rules)
-        if violated(vector.value(metric), limit)
-    ]
+    return parse_threshold_rules(read_lines(path, MalformedThresholdError))
 
 
 def _compile_rules(
     rules: Sequence[ThresholdRule],
 ) -> tuple[tuple[int, Callable[[float, float], bool], float, str], ...]:
-    """``(value index, comparison, limit, metric id)`` per ruled metric, in
-    report order; a metric's last rule wins."""
-    by_metric = {rule.metric_id: rule for rule in rules}
+    """``(value index, comparison, limit, metric id)`` per rule, in report
+    order; two rules for one metric are a ``ValueError``."""
+    by_metric: dict[str, ThresholdRule] = {}
+    for rule in rules:
+        if rule.metric_id in by_metric:
+            raise ValueError(f"duplicate rule for metric {rule.metric_id}")
+        by_metric[rule.metric_id] = rule
     return tuple(
         (index, _COMPARISONS[rule.comparator], rule.limit, metric)
         for index, metric in enumerate(ALL_METRICS)
@@ -172,23 +144,17 @@ class AnalysisReport(NamedTuple):
     summary: ReportSummary
 
 
-def summarize(entries: Sequence[RequirementEntry]) -> ReportSummary:
+def _summarize(entries: Sequence[RequirementEntry]) -> ReportSummary:
     """Aggregate per-metric min/mean/max, skipping degenerate entries.
 
     Degenerate (token-free) requirements are excluded from the metric
     statistics so blank rows cannot dilute corpus means; they are counted
     separately. An empty corpus yields all-zero statistics.
     """
-    live = [entry.vector for entry in entries if not entry.vector.degenerate]
+    live = [entry.vector.values for entry in entries if not entry.vector.degenerate]
     if live:
-        # One column at a time, so only one column's values are alive.
-        counts = [vector.counts for vector in live]
-        columns = [
-            *(map(itemgetter(metric), counts) for metric in DICTIONARY_METRICS),
-            map(attrgetter("word_count"), live),
-            map(attrgetter("ari"), live),
-        ]
-        stats = dict(zip(ALL_METRICS, map(_metric_summary, columns)))
+        # zip yields one column at a time, so only one column is alive.
+        stats = dict(zip(ALL_METRICS, map(_metric_summary, zip(*live))))
     else:
         stats = dict.fromkeys(ALL_METRICS, MetricSummary(0, 0.0, 0))
     return ReportSummary(
@@ -199,31 +165,30 @@ def summarize(entries: Sequence[RequirementEntry]) -> ReportSummary:
     )
 
 
-def _metric_summary(column: Iterable[float]) -> MetricSummary:
-    values = list(column)
-    return MetricSummary(min(values), sum(values) / len(values), max(values))
+def _metric_summary(column: tuple[float, ...]) -> MetricSummary:
+    return MetricSummary(min(column), sum(column) / len(column), max(column))
 
 
 def build_report(
     requirements: Sequence[Requirement],
     config: AnalysisConfig,
-    rules: Sequence[ThresholdRule] = (),
+    rules: Iterable[ThresholdRule] = (),
     column_mapping: ColumnMapping | None = None,
     version: str = "0.0.0",
     timestamp: str | None = None,
 ) -> AnalysisReport:
     """Analyze a corpus and assemble the full report in corpus order."""
+    rules = tuple(rules)  # read twice below, so an iterator is consumed once, here
     compiled = _compile_rules(rules)
     entries: list[RequirementEntry] = []
     for requirement in requirements:
         vector = analyze_text(requirement.text, config)
         flags: tuple[str, ...] = ()
         if compiled:
-            values = _values(vector)
             flags = tuple(
                 metric
                 for index, violated, limit, metric in compiled
-                if violated(values[index], limit)
+                if violated(vector.values[index], limit)
             )
         entries.append(
             RequirementEntry(
@@ -240,7 +205,7 @@ def build_report(
                 (m, config.dictionaries[m]) for m in DICTIONARY_METRICS
             )
         },
-        thresholds=tuple(rules),
+        thresholds=rules,
         column_mapping=column_mapping,
         timestamp=timestamp,
     )
@@ -249,7 +214,7 @@ def build_report(
         version=version,
         config=snapshot,
         entries=tuple(entries),
-        summary=summarize(entries),
+        summary=_summarize(entries),
     )
 
 
@@ -391,7 +356,7 @@ def _requirement_json(
     spans = vector.spans
     return _REQUIREMENT_JSON % (
         encode(entry.id),
-        *_values(vector),
+        *vector.values,
         _array_json(map(
             str.__add__,
             map(span_heads.__getitem__, map(_metric_phrase, spans)),
@@ -408,7 +373,7 @@ def render_csv(report: AnalysisReport) -> bytes:
     writer.writerow(["id", *ALL_METRICS, "flags"])
     # csv writes ints with str and floats with repr, as the JSON report does.
     writer.writerows(
-        (entry.id, *_values(entry.vector), ";".join(entry.flags))
+        (entry.id, *entry.vector.values, ";".join(entry.flags))
         for entry in report.entries
     )
     return buffer.getvalue().encode("utf-8")
@@ -440,7 +405,7 @@ def _columns(text: str) -> int:
 def render_table(report: AnalysisReport) -> bytes:
     headers = ["id", *ALL_METRICS, "flags"]
     rows = [
-        [_table_text(entry.id), *map(_table_cell, _values(entry.vector)), ";".join(entry.flags)]
+        [_table_text(entry.id), *map(_table_cell, entry.vector.values), ";".join(entry.flags)]
         for entry in report.entries
     ]
 

@@ -66,10 +66,6 @@ class TestPatternTypes:
         with pytest.raises(ValueError):
             PhrasePattern(("ok", ""))
 
-    def test_pattern_length_counts_slot(self):
-        assert PhrasePattern(("should", "have"), participle_slot=True).length == 3
-        assert PhrasePattern(("may",)).length == 1
-
     def test_dictionary_rejects_empty_pattern_set(self):
         with pytest.raises(ValueError):
             Dictionary("O", frozenset())
@@ -155,6 +151,18 @@ class TestLoader:
         path.write_text("[V]\nshould <PP> have\n", encoding="utf-8")
         with pytest.raises(MalformedDictionaryError):
             load_dictionary_file(path)
+
+    @pytest.mark.parametrize(
+        "phrase", ["should have<PP>", "should <pp>have", "<PP><PP>", "should have<PP> <PP>"]
+    )
+    def test_placeholder_glued_to_a_word_rejected(self, tmp_path, phrase):
+        # Otherwise "should have<PP>" loads as the literal "should have pp".
+        path = tmp_path / "dict.txt"
+        path.write_text(f"[V]\nmay\n{phrase}\n", encoding="utf-8")
+        with pytest.raises(MalformedDictionaryError) as info:
+            load_dictionary_file(path)
+        assert info.value.line == 3
+        assert "as its own word" in str(info.value)
 
     def test_bare_placeholder_is_empty_phrase(self, tmp_path):
         path = tmp_path / "dict.txt"

@@ -17,7 +17,7 @@ CONFIG = AnalysisConfig.default()
 def _stats(text):
     """(words, sentences, letters, ARI) of ``text``, ARI from analyze_text."""
     words, sentences, letters = scan(normalize(text))
-    return len(words), len(sentences), letters, analyze_text(text, CONFIG).ari
+    return len(words), len(sentences), letters, analyze_text(text, CONFIG).value("ARI")
 
 
 def _count(metric, text):

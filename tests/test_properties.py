@@ -25,8 +25,9 @@ from reqsmell.dictionaries import (
 )
 from reqsmell.cli import run
 from reqsmell.errors import MalformedDictionaryError
+from reqsmell.ingestion import Requirement
 from reqsmell.metrics import ALL_METRICS, AnalysisConfig, analyze_text
-from reqsmell.reporting import ThresholdRule, apply_thresholds
+from reqsmell.reporting import ThresholdRule, build_report
 from reqsmell.text import normalize, scan
 
 from oracle import naive_metric_spans, split_sentences, tokenize
@@ -310,9 +311,9 @@ class TestFlagSoundness:
         ),
     )
     def test_flags_are_exactly_the_violated_rules(self, parts, raw_rules):
-        vector = analyze_text(splice(parts), CONFIG)
         rules = [ThresholdRule(m, op, limit) for m, op, limit in raw_rules]
-        flags = apply_thresholds(vector, rules)
+        (entry,) = build_report([Requirement("R1", splice(parts), 2)], CONFIG, rules).entries
+        vector, flags = entry.vector, list(entry.flags)
         expected = []
         for metric in ALL_METRICS:
             for rule in rules:

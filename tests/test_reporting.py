@@ -17,7 +17,6 @@ from reqsmell.metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_
 from reqsmell.reporting import (
     RequirementEntry,
     ThresholdRule,
-    apply_thresholds,
     build_report,
     load_threshold_file,
     parse_threshold_rules,
@@ -25,7 +24,6 @@ from reqsmell.reporting import (
     render_csv,
     render_json,
     render_table,
-    summarize,
 )
 
 CONFIG = AnalysisConfig.default()
@@ -45,19 +43,23 @@ def make_report(**kwargs):
     return build_report(**defaults)
 
 
+def flags_of(text, rules):
+    """The flags ``build_report`` gives a one-requirement corpus."""
+    return list(build_report([Requirement("R1", text, 2)], CONFIG, rules).entries[0].flags)
+
+
 class TestThresholdRule:
     def test_strict_comparator_excludes_boundary(self):
-        vector = analyze_text("the cat sat.", CONFIG)
-        assert vector.value("ARI") == 30.0
-        assert apply_thresholds(vector, [ThresholdRule("ARI", ">", 30)]) == []
-        assert apply_thresholds(vector, [ThresholdRule("ARI", ">=", 30)]) == ["ARI"]
+        assert analyze_text("the cat sat.", CONFIG).value("ARI") == 30.0
+        assert flags_of("the cat sat.", [ThresholdRule("ARI", ">", 30)]) == []
+        assert flags_of("the cat sat.", [ThresholdRule("ARI", ">=", 30)]) == ["ARI"]
 
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError):
             ThresholdRule("Q", ">", 1)
 
     def test_rejects_unknown_comparator(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown comparator '<'"):
             ThresholdRule("V", "<", 1)
 
     def test_rejects_negative_limit(self):
@@ -66,7 +68,7 @@ class TestThresholdRule:
 
     @pytest.mark.parametrize("limit", [float("nan"), float("inf")])
     def test_rejects_non_finite_limit(self, limit):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"limit must be a finite number, got {limit}"):
             ThresholdRule("V", ">=", limit)
 
     def test_make_and_replace_validate(self):
@@ -140,19 +142,26 @@ class TestParseThresholdRules:
 
 
 class TestApplyThresholds:
+    """How build_report applies threshold rules to each requirement."""
+
     def test_no_rules_no_flags(self):
-        vector = analyze_text("may may may", CONFIG)
-        assert apply_thresholds(vector, []) == []
+        assert flags_of("may may may", []) == []
 
     def test_flags_in_metric_order_not_rule_order(self):
-        vector = analyze_text("the system may fail based on some conditions", CONFIG)
         rules = parse_threshold_rules(["ARI >= 10", "O >= 1", "V >= 1"])
-        assert apply_thresholds(vector, rules) == ["V", "O", "ARI"]
+        assert flags_of("the system may fail based on some conditions", rules) == ["V", "O", "ARI"]
+
+    def test_duplicate_rule_for_a_metric_rejected(self):
+        # Otherwise both rules would be listed in the report's config while
+        # only the last one is applied.
+        rules = [ThresholdRule("V", ">=", 1), ThresholdRule("V", ">=", 5)]
+        with pytest.raises(ValueError, match="duplicate rule for metric V"):
+            build_report([Requirement("R1", "may may may", 2)], CONFIG, rules)
 
 
 class TestSummarize:
     def test_empty_corpus(self):
-        summary = summarize([])
+        summary = build_report([], CONFIG).summary
         assert summary.requirement_count == 0
         assert summary.flagged_count == 0
         assert summary.degenerate_count == 0
@@ -202,6 +211,11 @@ class TestBuildReport:
         info = report.config.dictionaries["O"]
         assert info.origin == BUILTIN
         assert info.pattern_count == 3
+
+    def test_rules_from_an_iterator_are_applied_and_listed(self):
+        report = make_report(rules=iter(RULES))
+        assert report.config.thresholds == RULES
+        assert [entry.flags for entry in report.entries] == [("V",), (), ("NR1",)]
 
     def test_timestamp_defaults_to_none(self):
         assert make_report().config.timestamp is None
@@ -432,48 +446,40 @@ class TestFormatAgreement:
                 assert parsed == int(parsed) or metric == "ARI"
 
 
-class TestCountsMappingOrder:
-    """Nothing may depend on the order of a vector's counts mapping."""
+class TestValueColumns:
+    # Nine distinct values, so a value read from the wrong column changes
+    # every view below.
+    VALUES = (2, 3, 5, 7, 11, 13, 17, 19, 23.5)
 
-    RULES = parse_threshold_rules(["V >= 3", "NR2 > 4", "S >= 5", "NC > 6", "NW >= 20", "ARI > 30"])
+    def test_each_value_lands_in_its_column_everywhere(self, monkeypatch):
+        vector = MetricVector(values=self.VALUES, degenerate=False, spans=())
+        expected = dict(zip(ALL_METRICS, self.VALUES))
+        assert {metric: vector.value(metric) for metric in ALL_METRICS} == expected
+        assert vector.as_dict() == expected
+        assert vector.counts == dict(zip(DICTIONARY_METRICS, self.VALUES))
 
-    @staticmethod
-    def _vector(text, order):
-        # Seven distinct counts per text, so reading them in any order but
-        # by name changes values, flags and summary.
-        base = len(text)
-        counts = {metric: (base + 2 * DICTIONARY_METRICS.index(metric)) % 9 for metric in order}
-        words = len(text.split())
-        return MetricVector(
-            counts=counts if words else dict.fromkeys(order, 0),
-            word_count=words,
-            ari=base / 3.0 if words else 0.0,
-            degenerate=not words,
-            spans=(),
-        )
+        monkeypatch.setattr(reporting, "analyze_text", lambda text, config: vector)
+        # Each rule fires only on its own value or a larger one; any other
+        # reading order puts a smaller value under some metric.
+        rules = [ThresholdRule(metric, ">=", value) for metric, value in expected.items()]
+        report = build_report([Requirement("R1", "text", 2)], CONFIG, rules)
+        assert report.entries[0].flags == ALL_METRICS
+        assert {m: tuple(s) for m, s in report.summary.metrics.items()} == {
+            metric: (value, value, value) for metric, value in expected.items()
+        }
 
-    def _report(self, monkeypatch, order):
-        monkeypatch.setattr(reporting, "analyze_text", lambda text, config: self._vector(text, order))
-        requirements = [
-            Requirement(f"R{index}", " ".join(["w"] * index), index + 2) for index in range(0, 40, 3)
-        ]
-        return build_report(requirements, CONFIG, self.RULES)
-
-    def test_same_flags_summary_and_bytes_as_report_order(self, monkeypatch):
-        in_order = self._report(monkeypatch, DICTIONARY_METRICS)
-        shuffled = DICTIONARY_METRICS[3:] + DICTIONARY_METRICS[:3]
-        for order in (tuple(reversed(DICTIONARY_METRICS)), shuffled):
-            other = self._report(monkeypatch, order)
-            assert list(other.entries[1].vector.counts) == list(order)
-            assert [e.flags for e in other.entries] == [e.flags for e in in_order.entries]
-            assert other.summary == in_order.summary
-            for entry in other.entries:
-                assert apply_thresholds(entry.vector, self.RULES) == list(entry.flags)
-            for fmt in ("json", "csv", "table"):
-                assert render(other, fmt) == render(in_order, fmt)
-        flagged = [bool(e.flags) for e in in_order.entries]
-        assert any(flagged) and not all(flagged)
-        assert in_order.summary.degenerate_count == 1
+        assert json.loads(render(report, "json"))["requirements"][0]["metrics"] == expected
+        (row,) = csv.DictReader(io.StringIO(render(report, "csv").decode("utf-8")))
+        assert {metric: row[metric] for metric in ALL_METRICS} == {
+            metric: str(value) for metric, value in expected.items()
+        }
+        header, _, line = render(report, "table").decode("utf-8").splitlines()[:3]
+        assert dict(zip(header.split(), line.split())) == {
+            "id": "R1",
+            **{metric: str(value) for metric, value in expected.items() if metric != "ARI"},
+            "ARI": "23.50",
+            "flags": ";".join(ALL_METRICS),
+        }
 
 
 class TestRenderJsonMemory:
