@@ -20,7 +20,7 @@ from .dictionaries import builtin_dictionaries, load_dictionary_file
 from .errors import ReqsmellError
 from .ingestion import ColumnMapping, load_requirements
 from .metrics import AnalysisConfig
-from .reporting import REPORT_FORMATS, build_report, load_threshold_file, render
+from .reporting import REPORT_FORMATS, AnalysisReport, build_report, load_threshold_file, write_report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,11 +52,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(payload: bytes, output: str | None) -> None:
+def _write_output(report: AnalysisReport, fmt: str, output: str | None) -> None:
+    """Write the report into its destination while rendering it."""
     if output is None:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+        try:
+            write_report(report, fmt, sys.stdout.buffer)
+            sys.stdout.buffer.flush()
+        except BrokenPipeError:
+            # The reader went away. Python flushes stdout again at exit,
+            # which would report the same error a second time; let that
+            # flush drop the rest of the report instead.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
         return
+    if os.path.isdir(output):
+        raise ReqsmellError(f"--output {output} is a directory")
     # Write via a temp file and rename, so a failed run never leaves a
     # partial report and an existing file survives untouched on error.
     # tempfile is imported here because only this path needs it.
@@ -66,7 +76,7 @@ def _write_output(payload: bytes, output: str | None) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".reqsmell-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            write_report(report, fmt, handle)
         # mkstemp creates the file 0600; give the report the mode a plain
         # open() would, 0666 less the umask.
         umask = os.umask(0)
@@ -118,7 +128,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             version=__version__,
             timestamp=timestamp,
         )
-        _write_output(render(report, args.format), args.output)
+        _write_output(report, args.format, args.output)
     except (ReqsmellError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -30,56 +30,53 @@ USER_FILE = "user-file"
 # Marker for "one past-participle token follows" at the end of a phrase line.
 PARTICIPLE_MARKER = "<PP>"
 
-# V: words and phrases that admit several readings, and "should have"/"must
-# have" followed by a past participle.
-_VAGUENESS_PHRASES = (
-    "may", "could", "has to", "have to", "might", "will",
-    "all the other", "all other", "based on", "some", "appropriate",
-    "as a", "as an", "a minimum", "up to", "adequate", "as applicable",
-    "be able to", "be capable", "but not limited to", "capability of",
-    "capability to", "effective", "normal",
-    "should have <PP>", "must have <PP>",
-)
-
-# NR1: phrases that point the reader at another document.
-_DOCUMENT_REFERENCE_PHRASES = (
-    "defined in reference", "defined in the reference",
-    "specified in reference", "specified in the reference",
-    "specified by reference", "specified by the reference",
-    "see reference", "see the reference",
-    "refer to reference", "refer to the reference",
-    "further reference", "follow reference", "follow the reference",
-    "see document",
-    "see",
-)
-
-# NR2: pointers to figures, tables, notes, examples.
-_NOTATION_REFERENCE_PHRASES = ("for example", "figure", "table", "note")
-
-# O: words that leave implementers latitude.
-_OPTIONALITY_PHRASES = ("can", "may", "optionally")
-
-# S: personal opinion or relative judgment.
-_SUBJECTIVITY_PHRASES = (
-    "similar", "better", "similarly", "worse",
-    "having in mind", "take into account", "take into consideration",
-    "as possible",
-)
-
-# W: phrases that weaken a statement by leaving room for interpretation.
-_WEAKNESS_PHRASES = (
-    "adequate", "as appropriate", "be able to", "be capable of",
-    "capability of", "capability to", "effective", "as required",
-    "normal", "provide for", "timely", "easy to",
-)
-
-# NC: default conjunction list; coordinating plus common subordinating.
-# Replaceable through a dictionary override file.
-_CONJUNCTION_PHRASES = (
-    "and", "or", "but", "nor", "yet", "so", "for",
-    "although", "because", "since", "unless", "until", "while", "whereas",
-    "if", "when", "whenever", "after", "before", "once", "though",
-)
+# The built-in keyword list of each metric, in report order.
+_BUILTIN_PHRASES = {
+    # V: words and phrases that admit several readings, and "should have"/
+    # "must have" followed by a past participle.
+    "V": (
+        "may", "could", "has to", "have to", "might", "will",
+        "all the other", "all other", "based on", "some", "appropriate",
+        "as a", "as an", "a minimum", "up to", "adequate", "as applicable",
+        "be able to", "be capable", "but not limited to", "capability of",
+        "capability to", "effective", "normal",
+        "should have <PP>", "must have <PP>",
+    ),
+    # NR1: phrases that point the reader at another document.
+    "NR1": (
+        "defined in reference", "defined in the reference",
+        "specified in reference", "specified in the reference",
+        "specified by reference", "specified by the reference",
+        "see reference", "see the reference",
+        "refer to reference", "refer to the reference",
+        "further reference", "follow reference", "follow the reference",
+        "see document",
+        "see",
+    ),
+    # NR2: pointers to figures, tables, notes, examples.
+    "NR2": ("for example", "figure", "table", "note"),
+    # O: words that leave implementers latitude.
+    "O": ("can", "may", "optionally"),
+    # S: personal opinion or relative judgment.
+    "S": (
+        "similar", "better", "similarly", "worse",
+        "having in mind", "take into account", "take into consideration",
+        "as possible",
+    ),
+    # W: phrases that weaken a statement by leaving room for interpretation.
+    "W": (
+        "adequate", "as appropriate", "be able to", "be capable of",
+        "capability of", "capability to", "effective", "as required",
+        "normal", "provide for", "timely", "easy to",
+    ),
+    # NC: default conjunction list; coordinating plus common subordinating.
+    # Replaceable through a dictionary override file.
+    "NC": (
+        "and", "or", "but", "nor", "yet", "so", "for",
+        "although", "because", "since", "unless", "until", "while", "whereas",
+        "if", "when", "whenever", "after", "before", "once", "though",
+    ),
+}
 
 # Irregular past participles that the ed/en suffix check misses. Used by the
 # participle-slot heuristic; redundant -ed/-en forms are harmless here.
@@ -151,15 +148,7 @@ def _builtin(metric_id: str, phrases: Iterable[str]) -> Dictionary:
 
 def builtin_dictionaries() -> dict[str, Dictionary]:
     """The seven shipped dictionaries, keyed by metric id in report order."""
-    return {
-        "V": _builtin("V", _VAGUENESS_PHRASES),
-        "NR1": _builtin("NR1", _DOCUMENT_REFERENCE_PHRASES),
-        "NR2": _builtin("NR2", _NOTATION_REFERENCE_PHRASES),
-        "O": _builtin("O", _OPTIONALITY_PHRASES),
-        "S": _builtin("S", _SUBJECTIVITY_PHRASES),
-        "W": _builtin("W", _WEAKNESS_PHRASES),
-        "NC": _builtin("NC", _CONJUNCTION_PHRASES),
-    }
+    return {metric: _builtin(metric, phrases) for metric, phrases in _BUILTIN_PHRASES.items()}
 
 
 class _TrieNode(dict):
@@ -345,7 +334,10 @@ def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
         sections[current].append(pattern)
     close_section()
 
-    merged = builtin_dictionaries()
-    for metric, patterns in sections.items():
-        merged[metric] = Dictionary(metric, frozenset(patterns), origin=USER_FILE)
-    return merged
+    # Only the metrics the file leaves out need their built-in list.
+    return {
+        metric: Dictionary(metric, frozenset(sections[metric]), origin=USER_FILE)
+        if metric in sections
+        else _builtin(metric, _BUILTIN_PHRASES[metric])
+        for metric in DICTIONARY_METRICS
+    }

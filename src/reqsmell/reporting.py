@@ -1,18 +1,20 @@
 """Threshold flagging, corpus summary, and report rendering.
 
-Reports are rendered to bytes and are byte-identical for identical inputs:
+Reports are written as UTF-8 into a binary stream while they are rendered,
+and are byte-identical for identical inputs:
 no timestamps unless explicitly requested, fixed key order, fixed newline
 convention. No thresholds ship by default; raw metric values are always
 reported and flags only appear when the user supplies rules.
 """
 
+import codecs
 import csv
 import io
 import math
 import os
 import unicodedata
 from operator import ge, gt, itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .dictionaries import DICTIONARY_METRICS
 from .errors import MalformedThresholdError, ValidatedTuple, read_lines
@@ -43,9 +45,9 @@ class ThresholdRule(ValidatedTuple, _ThresholdRuleFields):
             raise ValueError(f"unknown metric {self.metric_id!r}")
         if self.comparator not in _COMPARISONS:
             raise ValueError(f"unknown comparator {self.comparator!r}")
-        if not math.isfinite(self.limit):
+        if not isinstance(self.limit, (int, float)) or not math.isfinite(self.limit):
             # A NaN rule never fires and an infinite one cannot be reached.
-            raise ValueError(f"limit must be a finite number, got {self.limit}")
+            raise ValueError(f"limit must be a finite number, got {self.limit!r}")
         if self.limit < 0:
             raise ValueError("limit must be non-negative")
 
@@ -218,32 +220,33 @@ def build_report(
     )
 
 
-def render(report: AnalysisReport, fmt: str) -> bytes:
-    """Render the report as UTF-8 bytes in the requested format."""
+def write_report(report: AnalysisReport, fmt: str, stream: BinaryIO) -> None:
+    """Write the report in the requested format into the binary ``stream``
+    as UTF-8, piece by piece as it is rendered, so the rendered report is
+    never held whole. The stream is neither flushed nor closed."""
     if fmt == "json":
-        return render_json(report)
-    if fmt == "csv":
-        return render_csv(report)
-    if fmt == "table":
-        return render_table(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+        _write_json(report, stream)
+    elif fmt == "csv":
+        _write_csv(report, stream)
+    elif fmt == "table":
+        _write_table(report, stream)
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+
+
+def render(report: AnalysisReport, fmt: str) -> bytes:
+    """The report as the UTF-8 bytes that ``write_report`` writes."""
+    buffer = io.BytesIO()
+    write_report(report, fmt, buffer)
+    return buffer.getvalue()
 
 
 def _config_payload(config: ReportConfig) -> dict:
+    # Both objects are keyed by their tuple's field names, so renaming a
+    # field changes the report.
     payload: dict = {
-        "column_mapping": (
-            None
-            if config.column_mapping is None
-            else {
-                "id_column": config.column_mapping.id_column,
-                "text_column": config.column_mapping.text_column,
-                "delimiter": config.column_mapping.delimiter,
-            }
-        ),
-        "dictionaries": {
-            metric: {"origin": info.origin, "pattern_count": info.pattern_count}
-            for metric, info in config.dictionaries.items()
-        },
+        "column_mapping": None if config.column_mapping is None else config.column_mapping._asdict(),
+        "dictionaries": {metric: info._asdict() for metric, info in config.dictionaries.items()},
         "thresholds": [
             {"metric": rule.metric_id, "comparator": rule.comparator, "limit": rule.limit}
             for rule in config.thresholds
@@ -254,8 +257,8 @@ def _config_payload(config: ReportConfig) -> dict:
     return payload
 
 
-def render_json(report: AnalysisReport) -> bytes:
-    """Render the report as ``json.dumps(payload, indent=2,
+def _write_json(report: AnalysisReport, stream: BinaryIO) -> None:
+    """Write the report as ``json.dumps(payload, indent=2,
     ensure_ascii=False)`` plus a newline would, byte for byte.
 
     Only the small head goes through ``json.dumps``, whose indenting encoder
@@ -281,15 +284,11 @@ def render_json(report: AnalysisReport) -> bytes:
         },
     }
     text = json.dumps(head, indent=2, ensure_ascii=False)
-    # Each requirement is encoded as it is written, so the report exists
-    # once, as bytes, instead of as parts, their join and its encoding.
-    buffer = io.BytesIO()
-    write = buffer.write
+    # Each requirement is encoded and written on its own, so only one of
+    # them exists as text and bytes at a time.
+    write = stream.write
     # The head ends with "\n}"; the requirements array becomes its last key.
     write(f'{text[:-2]},\n  "requirements": '.encode())
-    if not report.entries:
-        write(b"[]\n}\n")
-        return buffer.getvalue()
     # A span object in two parts: its text up to the "start" value, per
     # (metric, phrase), and the rest, per (start, end). A report repeats few
     # distinct pairs of either many times.
@@ -300,8 +299,7 @@ def render_json(report: AnalysisReport) -> bytes:
         write(separator)
         write(_requirement_json(entry, encode_basestring, span_heads, span_tails).encode())
         separator = b",\n"
-    write(b"\n  ]\n}\n")
-    return buffer.getvalue()
+    write(b"\n  ]\n}\n" if report.entries else b"[]\n}\n")
 
 
 # Leaves are written as json.dumps writes them: strings with the C encoder
@@ -367,16 +365,17 @@ def _requirement_json(
     )
 
 
-def render_csv(report: AnalysisReport) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(report: AnalysisReport, stream: BinaryIO) -> None:
+    # csv.writer writes each row with one call, which the codec writer
+    # encodes and passes on; unlike a TextIOWrapper, it never closes the
+    # stream it wraps.
+    writer = csv.writer(codecs.getwriter("utf-8")(stream), lineterminator="\n")
     writer.writerow(["id", *ALL_METRICS, "flags"])
     # csv writes ints with str and floats with repr, as the JSON report does.
     writer.writerows(
         (entry.id, *entry.vector.values, ";".join(entry.flags))
         for entry in report.entries
     )
-    return buffer.getvalue().encode("utf-8")
 
 
 def _table_cell(value: float) -> str:
@@ -402,7 +401,7 @@ def _columns(text: str) -> int:
     )
 
 
-def render_table(report: AnalysisReport) -> bytes:
+def _write_table(report: AnalysisReport, stream: BinaryIO) -> None:
     headers = ["id", *ALL_METRICS, "flags"]
     rows = [
         [_table_text(entry.id), *map(_table_cell, entry.vector.values), ";".join(entry.flags)]
@@ -418,22 +417,17 @@ def render_table(report: AnalysisReport) -> bytes:
     )
 
     dashes = ["-" * width for width in widths]
-    lines = [
-        template.format(row[0] + " " * (widths[0] - _columns(row[0])), *row[1:]).rstrip()
-        for row in (headers, dashes, *rows)
-    ]
+    write = stream.write
+    for row in (headers, dashes, *rows):
+        line = template.format(row[0] + " " * (widths[0] - _columns(row[0])), *row[1:])
+        write((line.rstrip() + "\n").encode())
     summary = report.summary
-    lines.append("")
-    lines.append(
-        f"requirements: {summary.requirement_count}  "
+    write((
+        f"\nrequirements: {summary.requirement_count}  "
         f"flagged: {summary.flagged_count}  "
-        f"degenerate: {summary.degenerate_count}"
-    )
-    lines.append("")
-    lines.append("metric     min    mean     max")
+        f"degenerate: {summary.degenerate_count}\n"
+        "\nmetric     min    mean     max\n"
+    ).encode())
     for metric in ALL_METRICS:
         stat = summary.metrics[metric]
-        lines.append(
-            f"{metric:<6}{stat.minimum:>8.2f}{stat.mean:>8.2f}{stat.maximum:>8.2f}"
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        write(f"{metric:<6}{stat.minimum:>8.2f}{stat.mean:>8.2f}{stat.maximum:>8.2f}\n".encode())

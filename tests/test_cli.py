@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import errno
 import json
 import os
 import re
@@ -8,13 +9,21 @@ import stat
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
 import reqsmell
-from reqsmell import __version__
+from reqsmell import __version__, reporting
 from reqsmell.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, main, run
+from reqsmell.ingestion import ColumnMapping, load_requirements
+from reqsmell.metrics import AnalysisConfig
+from reqsmell.reporting import REPORT_FORMATS, build_report, load_threshold_file, render
+
+DATA = Path(__file__).parent / "data"
+PACKAGE_ROOT = str(Path(reqsmell.__file__).parent.parent)
 
 
 @pytest.fixture
@@ -208,6 +217,15 @@ class TestErrorPaths:
         assert run(["--input", str(corpus), "--dictionaries", str(bad)]) == EXIT_ERROR
         assert "unknown metric" in capsys.readouterr().err
 
+    def test_output_that_is_a_directory(self, corpus, tmp_path, capsys):
+        target = tmp_path / "reports"
+        target.mkdir()
+        assert run(["--input", str(corpus), "--output", str(target)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --output {target} is a directory\n"
+        # Nothing is created in the directory or next to it.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "reports"]
+        assert list(target.iterdir()) == []
+
     def test_unwritable_output_directory(self, corpus, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "report.json"
         assert run(["--input", str(corpus), "--output", str(target)]) == EXIT_ERROR
@@ -239,6 +257,115 @@ class TestErrorPaths:
         path.write_text("ID,Text\nR1,x\nR1,y\n", encoding="utf-8")
         assert run(["--input", str(path)]) == EXIT_ERROR
         assert "duplicate" in capsys.readouterr().err
+
+
+def _keyword_dense_corpus(path, rows):
+    """``rows`` requirements with about 17 matches each, so the JSON report
+    is larger than the analysis that it renders."""
+    text = (
+        "R{0} may and can, or may see normal, adequate, effective and timely use; "
+        "see note {0} and table {0}, for example, as appropriate, or may."
+    )
+    path.write_text(
+        "ID,Text\n" + "".join(f'R{i},"{text.format(i)}"\n' for i in range(rows)),
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestStreaming:
+    """The report is written into its destination while it is rendered."""
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    @pytest.mark.parametrize("case", ["corpus", "empty", "flagged"])
+    def test_stdout_and_output_bytes_equal_render(self, tmp_path, capsysbinary, fmt, case):
+        corpus = DATA / "sample_corpus.csv"
+        if case == "empty":
+            corpus = tmp_path / "empty.csv"
+            corpus.write_text("ID,Text\n", encoding="utf-8")
+        rules = DATA / "thresholds.txt"
+        args = ["--input", str(corpus), "--thresholds", str(rules), "--format", fmt]
+        if case == "flagged":
+            args.append("--fail-on-flagged")
+        expected_code = EXIT_FLAGGED if case == "flagged" else EXIT_OK
+
+        mapping = ColumnMapping()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            requirements = load_requirements(corpus, mapping)
+        report = build_report(
+            requirements,
+            AnalysisConfig.default(),
+            load_threshold_file(rules),
+            column_mapping=mapping,
+            version=__version__,
+        )
+        expected = render(report, fmt)
+        assert (report.summary.flagged_count > 0) == (case != "empty")
+
+        assert run(args) == expected_code
+        assert capsysbinary.readouterr().out == expected
+        target = tmp_path / f"report.{fmt}"
+        assert run([*args, "--output", str(target)]) == expected_code
+        assert capsysbinary.readouterr().out == b""
+        assert target.read_bytes() == expected
+
+    def test_failed_write_leaves_no_temp_file_and_keeps_the_old_report(
+        self, corpus, tmp_path, capsys, monkeypatch
+    ):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"previous report\n")
+        real = reporting._requirement_json
+        written = []
+
+        def full_disk_after_the_first(*args):
+            if written:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(real(*args))
+            return written[-1]
+
+        monkeypatch.setattr(reporting, "_requirement_json", full_disk_after_the_first)
+        code = run(["--input", str(corpus), "--format", "json", "--output", str(target)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert len(written) == 1
+        assert target.read_bytes() == b"previous report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "report.json"]
+
+    def test_json_output_peaks_below_the_written_file(self, tmp_path):
+        corpus = _keyword_dense_corpus(tmp_path / "corpus.csv", 2000)
+        target = tmp_path / "report.json"
+        sample = str(DATA / "sample_corpus.csv")
+        # The first run imports json and tempfile.
+        assert run(["--input", sample, "--format", "json", "--output", str(target)]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert run(["--input", str(corpus), "--format", "json", "--output", str(target)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 5_000_000
+        # The peak holds the requirements and their analysis; a report
+        # rendered whole before it is written would double it.
+        assert peak < size
+
+    def test_reader_closing_stdout_early_is_one_error_line(self, tmp_path):
+        corpus = _keyword_dense_corpus(tmp_path / "corpus.csv", 200)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "reqsmell", "--input", str(corpus), "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+        )
+        # The report is larger than a pipe holds, so the writer is still
+        # writing when the reader goes away.
+        assert process.stdout.read(16) == b'{\n  "tool": "req'
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=60) == EXIT_ERROR
+        assert err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestWarnings:
@@ -290,10 +417,9 @@ class TestModuleInvocation:
             print([name for name in compiled if not name.endswith(".py")])
             print(sorted({"json", "tempfile"} & set(sys.modules)))
         """)
-        package_root = str(Path(reqsmell.__file__).parent.parent)
         result = subprocess.run(
             [sys.executable, "-S", "-c", code],
-            env={**os.environ, "PYTHONPATH": package_root},
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
             capture_output=True,
             text=True,
         )
@@ -322,10 +448,9 @@ class TestModuleInvocation:
             garbage(sys.argv[1])  # the first run imports json and tempfile
             print(garbage(sys.argv[1]), garbage(sys.argv[2]))
         """)
-        package_root = str(Path(reqsmell.__file__).parent.parent)
         result = subprocess.run(
             [sys.executable, "-c", code, str(sample), str(large), str(tmp_path / "out.json")],
-            env={**os.environ, "PYTHONPATH": package_root},
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
             capture_output=True,
             text=True,
         )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reqsmell import dictionaries
 from reqsmell.dictionaries import (
     BUILTIN,
     DICTIONARY_METRICS,
@@ -129,6 +130,23 @@ class TestLoader:
         for metric in ("V", "NR1", "NR2", "S", "W", "NC"):
             assert loaded[metric].patterns == builtins[metric].patterns
             assert loaded[metric].origin == BUILTIN
+
+    @pytest.mark.parametrize("sections, built", [(DICTIONARY_METRICS, 0), (("NC",), 6)])
+    def test_builds_only_the_built_ins_the_file_leaves_out(
+        self, tmp_path, monkeypatch, sections, built
+    ):
+        calls = []
+        real = dictionaries._builtin
+        monkeypatch.setattr(
+            dictionaries, "_builtin", lambda metric, phrases: calls.append(metric) or real(metric, phrases)
+        )
+        path = tmp_path / "dict.txt"
+        # Sections in reverse report order: the result is still in report order.
+        path.write_text("".join(f"[{m}]\nzzz\n" for m in reversed(sections)), encoding="utf-8")
+        loaded = load_dictionary_file(path)
+        assert len(calls) == built
+        assert list(loaded) == list(DICTIONARY_METRICS)
+        assert [m for m in DICTIONARY_METRICS if loaded[m].origin == USER_FILE] == list(sections)
 
     def test_unknown_metric_rejected_with_line(self, tmp_path):
         path = tmp_path / "dict.txt"

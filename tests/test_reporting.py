@@ -21,9 +21,7 @@ from reqsmell.reporting import (
     load_threshold_file,
     parse_threshold_rules,
     render,
-    render_csv,
-    render_json,
-    render_table,
+    write_report,
 )
 
 CONFIG = AnalysisConfig.default()
@@ -69,6 +67,11 @@ class TestThresholdRule:
     @pytest.mark.parametrize("limit", [float("nan"), float("inf")])
     def test_rejects_non_finite_limit(self, limit):
         with pytest.raises(ValueError, match=f"limit must be a finite number, got {limit}"):
+            ThresholdRule("V", ">=", limit)
+
+    @pytest.mark.parametrize("limit", ["3", None])
+    def test_rejects_non_numeric_limit(self, limit):
+        with pytest.raises(ValueError, match=f"limit must be a finite number, got {limit!r}"):
             ThresholdRule("V", ">=", limit)
 
     def test_make_and_replace_validate(self):
@@ -223,11 +226,11 @@ class TestBuildReport:
 
 class TestRenderJson:
     def test_top_level_key_order(self):
-        payload = json.loads(render_json(make_report()))
+        payload = json.loads(render(make_report(), "json"))
         assert list(payload) == ["tool", "version", "config", "summary", "requirements"]
 
     def test_entry_shape(self):
-        payload = json.loads(render_json(make_report()))
+        payload = json.loads(render(make_report(), "json"))
         entry = payload["requirements"][0]
         assert list(entry) == ["id", "metrics", "spans", "flags", "warnings"]
         assert entry["id"] == "R1"
@@ -237,24 +240,24 @@ class TestRenderJson:
         assert entry["flags"] == ["V"]
 
     def test_byte_determinism(self):
-        assert render_json(make_report()) == render_json(make_report())
+        assert render(make_report(), "json") == render(make_report(), "json")
 
     def test_no_timestamp_key_unless_requested(self):
-        config = json.loads(render_json(make_report()))["config"]
+        config = json.loads(render(make_report(), "json"))["config"]
         assert "timestamp" not in config
         stamped = make_report(timestamp="2024-05-01T12:00:00+00:00")
-        config = json.loads(render_json(stamped))["config"]
+        config = json.loads(render(stamped, "json"))["config"]
         assert config["timestamp"] == "2024-05-01T12:00:00+00:00"
 
     def test_non_ascii_survives(self):
         corpus = [Requirement(id="Ä1", text="systemet kan må bra", row=2)]
-        raw = render_json(build_report(corpus, CONFIG))
+        raw = render(build_report(corpus, CONFIG), "json")
         assert "Ä1".encode("utf-8") in raw
         assert json.loads(raw)["requirements"][0]["id"] == "Ä1"
 
 
 def _reference_json(report):
-    """The report through json.dumps, the encoder render_json must equal."""
+    """The report through json.dumps, which the JSON writer must equal."""
     config = report.config
     mapping = config.column_mapping
     config_payload = {
@@ -340,21 +343,21 @@ class TestRenderJsonEncoding:
         report = self._awkward_report(**kwargs)
         assert any(not entry.flags for entry in report.entries)
         assert any(entry.vector.degenerate for entry in report.entries)
-        assert render_json(report) == _reference_json(report)
+        assert render(report, "json") == _reference_json(report)
 
     def test_empty_corpus_equals_reference(self):
         report = make_report(requirements=[])
-        assert render_json(report) == _reference_json(report)
-        assert json.loads(render_json(report))["requirements"] == []
+        assert render(report, "json") == _reference_json(report)
+        assert json.loads(render(report, "json"))["requirements"] == []
 
 
 class TestRenderCsv:
     def test_header(self):
-        first_line = render_csv(make_report()).decode("utf-8").splitlines()[0]
+        first_line = render(make_report(), "csv").decode("utf-8").splitlines()[0]
         assert first_line == "id,V,NR1,NR2,O,S,W,NC,NW,ARI,flags"
 
     def test_values_and_flags(self):
-        rows = list(csv.DictReader(io.StringIO(render_csv(make_report()).decode("utf-8"))))
+        rows = list(csv.DictReader(io.StringIO(render(make_report(), "csv").decode("utf-8"))))
         assert rows[0]["id"] == "R1"
         assert rows[0]["V"] == "3"
         assert rows[0]["ARI"] == "49.625"
@@ -365,47 +368,47 @@ class TestRenderCsv:
     def test_multiple_flags_joined_with_semicolon(self):
         rules = parse_threshold_rules(["V >= 1", "O >= 1"])
         report = build_report(CORPUS, CONFIG, rules=rules)
-        rows = list(csv.DictReader(io.StringIO(render_csv(report).decode("utf-8"))))
+        rows = list(csv.DictReader(io.StringIO(render(report, "csv").decode("utf-8"))))
         assert rows[0]["flags"] == "V;O"
 
     def test_float_cells_round_trip_exactly(self):
         report = make_report()
-        rows = list(csv.DictReader(io.StringIO(render_csv(report).decode("utf-8"))))
+        rows = list(csv.DictReader(io.StringIO(render(report, "csv").decode("utf-8"))))
         for row, entry in zip(rows, report.entries):
             assert float(row["ARI"]) == entry.vector.value("ARI")
 
     def test_unix_line_endings(self):
-        raw = render_csv(make_report())
+        raw = render(make_report(), "csv")
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
     def test_byte_determinism(self):
-        assert render_csv(make_report()) == render_csv(make_report())
+        assert render(make_report(), "csv") == render(make_report(), "csv")
 
 
 class TestRenderTable:
     def test_structure(self):
-        lines = render_table(make_report()).decode("utf-8").splitlines()
+        lines = render(make_report(), "table").decode("utf-8").splitlines()
         assert lines[0].split() == ["id", *ALL_METRICS, "flags"]
         assert set(lines[1]) <= {"-", " "}
         assert lines[2].startswith("R1")
         assert "49.62" in lines[2]
 
     def test_summary_block(self):
-        text = render_table(make_report()).decode("utf-8")
+        text = render(make_report(), "table").decode("utf-8")
         assert "requirements: 3  flagged: 2  degenerate: 1" in text
         assert "metric     min    mean     max" in text
         assert "V         0.00    1.50    3.00" in text
 
     def test_byte_determinism(self):
-        assert render_table(make_report()) == render_table(make_report())
+        assert render(make_report(), "table") == render(make_report(), "table")
 
     def test_non_printable_id_characters_are_escaped(self):
         ids = ["R\n1", "R\r\n2", "R\x853", "R\u20284", "R\t5", "R\x006", "Ré 7"]
         report = make_report(
             requirements=[Requirement(id=i, text="may", row=n) for n, i in enumerate(ids, 2)]
         )
-        lines = render_table(report).decode("utf-8").splitlines()
+        lines = render(report, "table").decode("utf-8").splitlines()
         rows = lines[2:len(ids) + 2]
         assert lines[len(ids) + 2] == ""
         width = len(lines[1].split()[0])
@@ -422,7 +425,7 @@ class TestRenderTable:
         report = make_report(
             requirements=[Requirement(id=i, text="may", row=n) for n, i in enumerate(ids, 2)]
         )
-        lines = render_table(report).decode("utf-8").splitlines()
+        lines = render(report, "table").decode("utf-8").splitlines()
         nw = 1 + ALL_METRICS.index("NW")
         ends = [
             [m.end() for m in re.finditer(r"\S+", line)][nw] + extra
@@ -434,8 +437,8 @@ class TestRenderTable:
 class TestFormatAgreement:
     def test_csv_and_json_report_the_same_metric_values(self):
         report = make_report()
-        entries = json.loads(render_json(report))["requirements"]
-        rows = list(csv.DictReader(io.StringIO(render_csv(report).decode("utf-8"))))
+        entries = json.loads(render(report, "json"))["requirements"]
+        rows = list(csv.DictReader(io.StringIO(render(report, "csv").decode("utf-8"))))
         assert len(entries) == len(rows)
         for entry, row in zip(entries, rows):
             assert entry["id"] == row["id"]
@@ -490,11 +493,11 @@ class TestRenderJsonMemory:
             for index in range(300)
         ]
         report = build_report(requirements, CONFIG, RULES)
-        render_json(report)  # the first call imports json
+        render(report, "json")  # the first call imports json
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            size = len(render_json(report))
+            size = len(render(report, "json"))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -503,12 +506,21 @@ class TestRenderJsonMemory:
 
 
 class TestRenderDispatch:
-    def test_dispatch_matches_direct_calls(self):
-        report = make_report()
-        assert render(report, "json") == render_json(report)
-        assert render(report, "csv") == render_csv(report)
-        assert render(report, "table") == render_table(report)
+    def test_dispatch_matches_direct_calls(self, tmp_path):
+        # write_report into a file, which is what the CLI does, writes the
+        # bytes render returns, and leaves the stream open.
+        report = make_report(requirements=CORPUS + [Requirement("Ä4", "may ä €", 5)])
+        for fmt in ("json", "csv", "table"):
+            path = tmp_path / f"report.{fmt}"
+            with open(path, "wb") as handle:
+                write_report(report, fmt, handle)
+                assert not handle.closed
+            assert path.read_bytes() == render(report, fmt)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render(make_report(), "xml")
+        stream = io.BytesIO()
+        with pytest.raises(ValueError):
+            write_report(make_report(), "xml", stream)
+        assert stream.getvalue() == b""
