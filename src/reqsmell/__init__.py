@@ -14,17 +14,8 @@ from .dictionaries import (
     builtin_dictionaries,
     load_dictionary_file,
 )
-from .errors import (
-    CorpusError,
-    DuplicateIdError,
-    EncodingError,
-    MalformedDictionaryError,
-    MalformedThresholdError,
-    MissingColumnError,
-    ReqsmellError,
-    RowArityError,
-)
-from .ingestion import ColumnMapping, EmptyCorpusWarning, Requirement, load_requirements
+from .errors import CorpusError, MalformedDictionaryError, MalformedThresholdError, ReqsmellError
+from .ingestion import ColumnMapping, Requirement, load_requirements
 from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 from .reporting import (
     AnalysisReport,
@@ -47,19 +38,14 @@ __all__ = [
     "CorpusError",
     "DICTIONARY_METRICS",
     "Dictionary",
-    "DuplicateIdError",
-    "EmptyCorpusWarning",
-    "EncodingError",
     "MalformedDictionaryError",
     "MalformedThresholdError",
     "MetricVector",
-    "MissingColumnError",
     "PhraseMatcher",
     "PhrasePattern",
     "ReqsmellError",
     "Requirement",
     "RequirementEntry",
-    "RowArityError",
     "ThresholdRule",
     "analyze_text",
     "build_report",

@@ -12,7 +12,6 @@ import argparse
 import datetime
 import os
 import sys
-import warnings
 from typing import Sequence
 
 from . import __version__
@@ -103,23 +102,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             raise ReqsmellError(str(exc)) from exc
 
-        if args.dictionaries:
-            dictionaries = load_dictionary_file(args.dictionaries)
-        else:
-            dictionaries = builtin_dictionaries()
+        dictionaries = load_dictionary_file(args.dictionaries) if args.dictionaries else builtin_dictionaries()
         rules = load_threshold_file(args.thresholds) if args.thresholds else ()
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            requirements = load_requirements(args.input, mapping)
-        for warning in caught:
-            print(f"warning: {warning.message}", file=sys.stderr)
+        requirements = load_requirements(args.input, mapping)
+        if not requirements:
+            print("warning: no requirements found (header-only file)", file=sys.stderr)
 
         timestamp = None
         if args.timestamp:
-            timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
-                timespec="seconds"
-            )
+            timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
         report = build_report(
             requirements,
             config=AnalysisConfig.from_dictionaries(dictionaries),

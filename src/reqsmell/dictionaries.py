@@ -17,7 +17,7 @@ from itertools import compress, repeat
 from operator import is_not, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import MalformedDictionaryError, ValidatedTuple, read_lines
+from .errors import MalformedDictionaryError, ValidatedTuple, parse_file
 from .text import _TOKEN_RE, normalize, scan
 
 # Metric identifiers, in report order. These are part of the file-format and
@@ -297,7 +297,18 @@ def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
     are normalized like requirement text, ``#`` starts a comment, and a
     ``<PP>`` as the last word marks a participle slot.
     """
-    raw_lines = read_lines(path, MalformedDictionaryError)
+    sections = parse_file(path, MalformedDictionaryError, _parse_sections)
+    # Only the metrics the file leaves out need their built-in list.
+    return {
+        metric: Dictionary(metric, frozenset(sections[metric]), origin=USER_FILE)
+        if metric in sections
+        else _builtin(metric, _BUILTIN_PHRASES[metric])
+        for metric in DICTIONARY_METRICS
+    }
+
+
+def _parse_sections(lines: list[str]) -> dict[str, list[PhrasePattern]]:
+    """The phrases of each ``[METRIC]`` section of a dictionary file."""
     sections: dict[str, list[PhrasePattern]] = {}
     current: str | None = None
     current_header_line = 0
@@ -309,7 +320,7 @@ def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
                 f"section [{current}] has no phrases", current_header_line
             )
 
-    for lineno, raw in enumerate(raw_lines, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -333,11 +344,4 @@ def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
         seen_tokens.add(pattern.tokens)
         sections[current].append(pattern)
     close_section()
-
-    # Only the metrics the file leaves out need their built-in list.
-    return {
-        metric: Dictionary(metric, frozenset(sections[metric]), origin=USER_FILE)
-        if metric in sections
-        else _builtin(metric, _BUILTIN_PHRASES[metric])
-        for metric in DICTIONARY_METRICS
-    }
+    return sections

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the line reader of the
+"""Exception types shared across the package, the reader of the
 dictionary and threshold files, and the mixin that makes value types
 reject invalid fields.
 
@@ -9,6 +9,9 @@ can catch one base class and turn it into a diagnostic plus exit code 1.
 from __future__ import annotations
 
 import os
+from typing import Callable, TypeVar
+
+_T = TypeVar("_T")
 
 
 class ReqsmellError(Exception):
@@ -31,9 +34,12 @@ class MalformedThresholdError(MalformedFileError):
     """A threshold file violates the ``METRIC OP LIMIT`` line format."""
 
 
-def read_lines(path: str | os.PathLike[str], error: type[MalformedFileError]) -> list[str]:
-    """The lines of the UTF-8 file at ``path``, or ``error`` if it is not
-    UTF-8.
+def parse_file(
+    path: str | os.PathLike[str], error: type[MalformedFileError], parse: Callable[[list[str]], _T]
+) -> _T:
+    """``parse`` applied to the lines of the UTF-8 file at ``path``. An
+    ``error`` for a file that is not UTF-8, and any ``MalformedFileError``
+    that ``parse`` raises, start with ``path``.
 
     Lines are split at "\\n" only, so the lines and their numbers are those
     of iterating the file, whose newline translation already ran; a form
@@ -41,42 +47,18 @@ def read_lines(path: str | os.PathLike[str], error: type[MalformedFileError]) ->
     """
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
-            return handle.read().split("\n")
+            lines = handle.read().split("\n")
         except UnicodeDecodeError as exc:
-            raise error(f"file is not valid UTF-8 ({exc.reason})") from exc
+            raise error(f"{path}: file is not valid UTF-8 ({exc.reason})") from exc
+    try:
+        return parse(lines)
+    except MalformedFileError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 class CorpusError(ReqsmellError):
     """A requirement input file failed validation."""
-
-
-class MissingColumnError(CorpusError):
-    def __init__(self, column: str):
-        super().__init__(f"column {column!r} not found in header")
-        self.column = column
-
-
-class DuplicateIdError(CorpusError):
-    def __init__(self, requirement_id: str, first_row: int, second_row: int):
-        super().__init__(
-            f"duplicate requirement id {requirement_id!r} (rows {first_row} and {second_row})"
-        )
-        self.requirement_id = requirement_id
-        self.rows = (first_row, second_row)
-
-
-class RowArityError(CorpusError):
-    def __init__(self, row: int, expected: int, actual: int):
-        super().__init__(f"row {row}: expected {expected} fields, found {actual}")
-        self.row = row
-        self.expected = expected
-        self.actual = actual
-
-
-class EncodingError(CorpusError):
-    def __init__(self, row: int, detail: str):
-        super().__init__(f"row {row}: invalid UTF-8 ({detail})")
-        self.row = row
 
 
 class ValidatedTuple:

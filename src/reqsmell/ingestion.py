@@ -9,26 +9,14 @@ Rows are numbered by record: the header is record 1.
 import csv
 import io
 import os
-import warnings
 from typing import NamedTuple
 
-from .errors import (
-    CorpusError,
-    DuplicateIdError,
-    EncodingError,
-    MissingColumnError,
-    RowArityError,
-    ValidatedTuple,
-)
+from .errors import CorpusError, ValidatedTuple
 
 
 # The csv module's quote character and the record terminators cannot also
 # separate fields.
 _RESERVED_DELIMITERS = ('"', "\r", "\n")
-
-
-class EmptyCorpusWarning(UserWarning):
-    """The file parsed fine but contained no data rows."""
 
 
 class _ColumnMappingFields(NamedTuple):
@@ -64,15 +52,16 @@ class Requirement(NamedTuple):
 def _column_index(header: list[str], name: str) -> int:
     hits = [i for i, col in enumerate(header) if col == name]
     if not hits:
-        raise MissingColumnError(name)
+        raise CorpusError(f"column {name!r} not found in header")
     if len(hits) > 1:
         raise CorpusError(f"column {name!r} appears {len(hits)} times in header")
     return hits[0]
 
 
-def _locate_decode_error(path: str | os.PathLike[str], delimiter: str) -> CorpusError | None:
+def _decode_error(path: str | os.PathLike[str], delimiter: str, record: int, reason: str) -> CorpusError:
     """The error for the first invalid UTF-8 sequence in ``path``, naming
-    the record that holds it; ``None`` if the file now decodes.
+    the record that holds it; ``record`` and ``reason``, from the reader's
+    error, stand if the file now decodes.
 
     The text reader decodes ahead of the CSV parser, so the parser's record
     count at a decode error can fall short. This reads the file again and
@@ -85,19 +74,17 @@ def _locate_decode_error(path: str | os.PathLike[str], delimiter: str) -> Corpus
     except UnicodeDecodeError as exc:
         prefix = data[: exc.start].decode("utf-8").removeprefix("\ufeff")
         reason = exc.reason
-    else:
-        return None
-    # The sentinel joins a record the bad bytes interrupt, and starts a new
-    # one where they start a record, so the count includes their record.
-    reader = csv.reader(io.StringIO(prefix + "x", newline=""), delimiter=delimiter)
-    records = 0
-    try:
-        for _ in reader:
-            records += 1
-    except csv.Error as exc:
-        # A malformed record before the bad bytes is the first fault.
-        return CorpusError(f"row {records + 1}: {exc}")
-    return EncodingError(records, reason)
+        # The sentinel joins a record the bad bytes interrupt, and starts a
+        # new one where they start a record, so the count includes their record.
+        reader = csv.reader(io.StringIO(prefix + "x", newline=""), delimiter=delimiter)
+        record = 0
+        try:
+            for _ in reader:
+                record += 1
+        except csv.Error as error:
+            # A malformed record before the bad bytes is the first fault.
+            return CorpusError(f"row {record + 1}: {error}")
+    return CorpusError(f"row {record}: invalid UTF-8 ({reason})")
 
 
 def load_requirements(
@@ -106,12 +93,11 @@ def load_requirements(
     """Read one requirement per data row, in file order; columns other than
     the id and text columns are accepted and ignored.
 
-    Raises :class:`MissingColumnError`, :class:`DuplicateIdError`,
-    :class:`RowArityError`, :class:`EncodingError`, or :class:`CorpusError`
-    on invalid input, including a record the CSV parser rejects (such as a
-    field over ``csv.field_size_limit()``); OS-level failures propagate as
-    ``OSError``. A file with a header but no data rows returns ``[]`` and
-    emits :class:`EmptyCorpusWarning`.
+    Raises :class:`CorpusError` on invalid input, naming the row when a row
+    is at fault: a missing or repeated column, a wrong field count, an empty
+    or duplicate id, invalid UTF-8, or a record the CSV parser rejects (such
+    as a field over ``csv.field_size_limit()``); OS-level failures propagate
+    as ``OSError``. A file with a header but no data rows returns ``[]``.
     """
     requirements: list[Requirement] = []
     seen_ids: dict[str, int] = {}
@@ -132,19 +118,19 @@ def load_requirements(
                 if not row:
                     continue  # blank line, not a data row
                 if len(row) != len(header):
-                    raise RowArityError(record, expected=len(header), actual=len(row))
+                    raise CorpusError(f"row {record}: expected {len(header)} fields, found {len(row)}")
                 requirement_id = row[id_index]
                 if not requirement_id:
                     raise CorpusError(f"row {record}: empty value in id column")
                 if requirement_id in seen_ids:
-                    raise DuplicateIdError(requirement_id, seen_ids[requirement_id], record)
+                    raise CorpusError(
+                        f"duplicate requirement id {requirement_id!r} "
+                        f"(rows {seen_ids[requirement_id]} and {record})"
+                    )
                 seen_ids[requirement_id] = record
                 requirements.append(Requirement(requirement_id, row[text_index], record))
         except UnicodeDecodeError as exc:
-            error = _locate_decode_error(path, mapping.delimiter)
-            raise (error or EncodingError(record + 1, exc.reason)) from exc
+            raise _decode_error(path, mapping.delimiter, record + 1, exc.reason) from exc
         except csv.Error as exc:
             raise CorpusError(f"row {record + 1}: {exc}") from exc
-    if not requirements:
-        warnings.warn("no requirements found (header-only file)", EmptyCorpusWarning, stacklevel=2)
     return requirements

@@ -16,8 +16,8 @@ import unicodedata
 from operator import ge, gt, itemgetter
 from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .dictionaries import DICTIONARY_METRICS
-from .errors import MalformedThresholdError, ValidatedTuple, read_lines
+from .dictionaries import DICTIONARY_METRICS, Dictionary
+from .errors import MalformedThresholdError, ValidatedTuple, parse_file
 from .ingestion import ColumnMapping, Requirement
 from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 
@@ -80,7 +80,7 @@ def parse_threshold_rules(lines: Iterable[str]) -> tuple[ThresholdRule, ...]:
 
 
 def load_threshold_file(path: str | os.PathLike[str]) -> tuple[ThresholdRule, ...]:
-    return parse_threshold_rules(read_lines(path, MalformedThresholdError))
+    return parse_file(path, MalformedThresholdError, parse_threshold_rules)
 
 
 def _compile_rules(
@@ -100,17 +100,10 @@ def _compile_rules(
     )
 
 
-class DictionaryInfo(NamedTuple):
-    """Configuration snapshot entry for one dictionary."""
-
-    origin: str
-    pattern_count: int
-
-
 class ReportConfig(NamedTuple):
     """Snapshot of everything that shaped the analysis."""
 
-    dictionaries: Mapping[str, DictionaryInfo]
+    dictionaries: Mapping[str, Dictionary]  # the analysis's own, in report order
     thresholds: tuple[ThresholdRule, ...]
     column_mapping: ColumnMapping | None = None
     timestamp: str | None = None
@@ -156,7 +149,12 @@ def _summarize(entries: Sequence[RequirementEntry]) -> ReportSummary:
     live = [entry.vector.values for entry in entries if not entry.vector.degenerate]
     if live:
         # zip yields one column at a time, so only one column is alive.
-        stats = dict(zip(ALL_METRICS, map(_metric_summary, zip(*live))))
+        # fsum rounds once, so the mean does not depend on the Python
+        # version: sum() changed how it adds floats in 3.12.
+        stats = {
+            metric: MetricSummary(min(column), math.fsum(column) / len(column), max(column))
+            for metric, column in zip(ALL_METRICS, zip(*live))
+        }
     else:
         stats = dict.fromkeys(ALL_METRICS, MetricSummary(0, 0.0, 0))
     return ReportSummary(
@@ -165,10 +163,6 @@ def _summarize(entries: Sequence[RequirementEntry]) -> ReportSummary:
         degenerate_count=len(entries) - len(live),
         metrics=stats,
     )
-
-
-def _metric_summary(column: tuple[float, ...]) -> MetricSummary:
-    return MetricSummary(min(column), sum(column) / len(column), max(column))
 
 
 def build_report(
@@ -201,12 +195,7 @@ def build_report(
             )
         )
     snapshot = ReportConfig(
-        dictionaries={
-            metric: DictionaryInfo(dictionary.origin, len(dictionary.patterns))
-            for metric, dictionary in (
-                (m, config.dictionaries[m]) for m in DICTIONARY_METRICS
-            )
-        },
+        dictionaries={m: config.dictionaries[m] for m in DICTIONARY_METRICS},
         thresholds=rules,
         column_mapping=column_mapping,
         timestamp=timestamp,
@@ -242,11 +231,14 @@ def render(report: AnalysisReport, fmt: str) -> bytes:
 
 
 def _config_payload(config: ReportConfig) -> dict:
-    # Both objects are keyed by their tuple's field names, so renaming a
+    # The column mapping is keyed by its tuple's field names, so renaming a
     # field changes the report.
     payload: dict = {
         "column_mapping": None if config.column_mapping is None else config.column_mapping._asdict(),
-        "dictionaries": {metric: info._asdict() for metric, info in config.dictionaries.items()},
+        "dictionaries": {
+            metric: {"origin": dictionary.origin, "pattern_count": len(dictionary.patterns)}
+            for metric, dictionary in config.dictionaries.items()
+        },
         "thresholds": [
             {"metric": rule.metric_id, "comparator": rule.comparator, "limit": rule.limit}
             for rule in config.thresholds

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import pytest
@@ -195,6 +194,20 @@ class TestErrorPaths:
         assert run(["--input", str(corpus), "--thresholds", str(bad)]) == EXIT_ERROR
         assert "line 1" in capsys.readouterr().err
 
+    def test_malformed_rule_files_name_themselves(self, corpus, tmp_path, capsys):
+        # Both files hold "unknown metric 'FOO'" on line 2; only the path
+        # tells the two errors apart.
+        dictionary = tmp_path / "d.txt"
+        dictionary.write_text("# overrides\n[FOO]\nbar\n", encoding="utf-8")
+        thresholds = tmp_path / "t.txt"
+        thresholds.write_text("V >= 1\nFOO >= 2\n", encoding="utf-8")
+        args = ["--input", str(corpus), "--dictionaries", str(dictionary), "--thresholds", str(thresholds)]
+        assert run(args) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {dictionary}: line 2: unknown metric 'FOO'\n"
+        dictionary.write_text("[V]\nmay\n", encoding="utf-8")
+        assert run(args) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {thresholds}: line 2: unknown metric 'FOO'\n"
+
     def test_thresholds_not_utf8(self, corpus, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"V >= \xff\n")
@@ -290,9 +303,7 @@ class TestStreaming:
         expected_code = EXIT_FLAGGED if case == "flagged" else EXIT_OK
 
         mapping = ColumnMapping()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            requirements = load_requirements(corpus, mapping)
+        requirements = load_requirements(corpus, mapping)
         report = build_report(
             requirements,
             AnalysisConfig.default(),
@@ -374,7 +385,7 @@ class TestWarnings:
         path.write_text("ID,Text\n", encoding="utf-8")
         assert run(["--input", str(path), "--format", "json"]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err.startswith("warning:")
+        assert captured.err == "warning: no requirements found (header-only file)\n"
         payload = json.loads(captured.out)
         assert payload["summary"]["requirement_count"] == 0
         assert payload["requirements"] == []

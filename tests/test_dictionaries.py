@@ -156,6 +156,19 @@ class TestLoader:
         assert info.value.line == 1
         assert "unknown metric" in str(info.value)
 
+    def test_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "dict.txt"
+        path.write_text("[V]\nmay\n[FOO]\nbar\n", encoding="utf-8")
+        with pytest.raises(MalformedDictionaryError) as info:
+            load_dictionary_file(path)
+        assert str(info.value) == f"{path}: line 3: unknown metric 'FOO'"
+        assert info.value.line == 3
+        path.write_bytes(b"[V]\nm\xe9\n")
+        with pytest.raises(MalformedDictionaryError) as info:
+            load_dictionary_file(path)
+        assert str(info.value) == f"{path}: file is not valid UTF-8 (invalid continuation byte)"
+        assert info.value.line is None
+
     def test_participle_placeholder_parsed(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[V]\nshould have <PP>\n", encoding="utf-8")

@@ -4,14 +4,8 @@ import csv
 
 import pytest
 
-from reqsmell.errors import (
-    CorpusError,
-    DuplicateIdError,
-    EncodingError,
-    MissingColumnError,
-    RowArityError,
-)
-from reqsmell.ingestion import ColumnMapping, EmptyCorpusWarning, Requirement, load_requirements
+from reqsmell.errors import CorpusError
+from reqsmell.ingestion import ColumnMapping, Requirement, load_requirements
 
 DEFAULT = ColumnMapping()
 
@@ -72,15 +66,15 @@ class TestHappyPath:
 class TestErrors:
     def test_missing_id_column(self, tmp_path):
         path = write(tmp_path, "key,Text\nA,x\n")
-        with pytest.raises(MissingColumnError) as info:
+        with pytest.raises(CorpusError) as info:
             load_requirements(path, DEFAULT)
-        assert info.value.column == "ID"
+        assert str(info.value) == "column 'ID' not found in header"
 
     def test_missing_text_column(self, tmp_path):
         path = write(tmp_path, "ID,Body\nA,x\n")
-        with pytest.raises(MissingColumnError) as info:
+        with pytest.raises(CorpusError) as info:
             load_requirements(path, DEFAULT)
-        assert info.value.column == "Text"
+        assert str(info.value) == "column 'Text' not found in header"
 
     def test_ambiguous_header(self, tmp_path):
         path = write(tmp_path, "ID,Text,Text\nA,x,y\n")
@@ -94,15 +88,15 @@ class TestErrors:
 
     def test_short_row(self, tmp_path):
         path = write(tmp_path, "ID,Text\nR1\n")
-        with pytest.raises(RowArityError) as info:
+        with pytest.raises(CorpusError) as info:
             load_requirements(path, DEFAULT)
-        assert (info.value.row, info.value.expected, info.value.actual) == (2, 2, 1)
+        assert str(info.value) == "row 2: expected 2 fields, found 1"
 
     def test_long_row(self, tmp_path):
         path = write(tmp_path, "ID,Text\nR1,x\nR2,y,z\n")
-        with pytest.raises(RowArityError) as info:
+        with pytest.raises(CorpusError) as info:
             load_requirements(path, DEFAULT)
-        assert info.value.row == 3
+        assert str(info.value) == "row 3: expected 2 fields, found 3"
 
     def test_empty_id(self, tmp_path):
         path = write(tmp_path, "ID,Text\n,x\n")
@@ -111,10 +105,9 @@ class TestErrors:
 
     def test_duplicate_id_reports_both_rows(self, tmp_path):
         path = write(tmp_path, "ID,Text\nR1,x\nR2,y\nR1,z\n")
-        with pytest.raises(DuplicateIdError) as info:
+        with pytest.raises(CorpusError) as info:
             load_requirements(path, DEFAULT)
-        assert info.value.requirement_id == "R1"
-        assert info.value.rows == (2, 4)
+        assert str(info.value) == "duplicate requirement id 'R1' (rows 2 and 4)"
 
     def test_field_over_parser_limit_names_the_record(self, tmp_path):
         oversized = "x" * (csv.field_size_limit() + 1)
@@ -125,8 +118,9 @@ class TestErrors:
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_bytes(b"ID,Text\nR1,caf\xe9\n")
-        with pytest.raises(EncodingError):
+        with pytest.raises(CorpusError) as info:
             load_requirements(path, DEFAULT)
+        assert str(info.value) == "row 2: invalid UTF-8 (invalid continuation byte)"
 
     def test_invalid_utf8_names_its_record(self, tmp_path):
         # The decoder reads ahead of the parser; the row must still be the
@@ -135,10 +129,9 @@ class TestErrors:
         rows[449] = 'R451,"caf\udce9 crème"'  # \udce9 is written as the bare byte 0xE9
         path = tmp_path / "corpus.csv"
         path.write_bytes(("ID,Text\n" + "\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
-        with pytest.raises(EncodingError) as info:
+        with pytest.raises(CorpusError) as info:
             load_requirements(path, DEFAULT)
-        assert info.value.row == 451
-        assert "row 451" in str(info.value)
+        assert str(info.value) == "row 451: invalid UTF-8 (invalid continuation byte)"
 
     @pytest.mark.parametrize(
         "content, row",
@@ -152,9 +145,11 @@ class TestErrors:
     def test_invalid_utf8_row_at_record_edges(self, tmp_path, content, row):
         path = tmp_path / "corpus.csv"
         path.write_bytes(content)
-        with pytest.raises(EncodingError) as info:
+        with pytest.raises(CorpusError) as info:
             load_requirements(path, DEFAULT)
-        assert info.value.row == row
+        # The message ends with the decoder's own reason for the first bad byte.
+        reason = pytest.raises(UnicodeDecodeError, content.decode, "utf-8").value.reason
+        assert str(info.value) == f"row {row}: invalid UTF-8 ({reason})"
 
     def test_unterminated_quote(self, tmp_path):
         path = write(tmp_path, 'ID,Text\nR1,"unterminated\nR2,second row\nR3,third\n')
@@ -198,15 +193,17 @@ class TestColumnMapping:
 
 
 class TestEmptyCorpus:
-    def test_header_only_warns_and_returns_empty(self, tmp_path):
+    def test_header_only_returns_empty_without_warning(self, tmp_path, recwarn):
+        # The diagnostic for an empty corpus is the CLI's; the library only
+        # returns the empty list.
         path = write(tmp_path, "ID,Text\n")
-        with pytest.warns(EmptyCorpusWarning):
-            assert load_requirements(path, DEFAULT) == []
+        assert load_requirements(path, DEFAULT) == []
+        assert not recwarn.list
 
     def test_rows_do_not_warn(self, tmp_path, recwarn):
         path = write(tmp_path, "ID,Text\nR1,x\n")
         load_requirements(path, DEFAULT)
-        assert not [w for w in recwarn if issubclass(w.category, EmptyCorpusWarning)]
+        assert not recwarn.list
 
 
 class TestRoundTrip:

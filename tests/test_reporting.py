@@ -131,8 +131,22 @@ class TestParseThresholdRules:
     def test_load_rejects_invalid_utf8(self, tmp_path):
         path = tmp_path / "thresholds.txt"
         path.write_bytes(b"NW > 40\nV >= \xff\n")
-        with pytest.raises(MalformedThresholdError, match="not valid UTF-8"):
+        with pytest.raises(MalformedThresholdError) as info:
             load_threshold_file(path)
+        assert str(info.value) == f"{path}: file is not valid UTF-8 (invalid start byte)"
+        assert info.value.line is None
+
+    def test_load_names_the_file_and_keeps_the_line(self, tmp_path):
+        path = tmp_path / "thresholds.txt"
+        path.write_text("NW > 40\nFOO >= 2\n", encoding="utf-8")
+        with pytest.raises(MalformedThresholdError) as info:
+            load_threshold_file(path)
+        assert str(info.value) == f"{path}: line 2: unknown metric 'FOO'"
+        assert info.value.line == 2
+        # Parsing lines alone names no file.
+        with pytest.raises(MalformedThresholdError) as info:
+            parse_threshold_rules(["NW > 40", "FOO >= 2"])
+        assert str(info.value) == "line 2: unknown metric 'FOO'"
 
     def test_file_line_numbers_count_only_line_breaks(self, tmp_path):
         # A form feed or a line separator inside a comment does not start
@@ -182,6 +196,14 @@ class TestSummarize:
     def test_flagged_count(self):
         assert make_report().summary.flagged_count == 2
 
+    def test_mean_is_rounded_once(self):
+        # Ten 0.1s add up to 0.9999999999999999 with sum() before Python
+        # 3.12, which made the mean, and the JSON report, depend on the
+        # interpreter version.
+        vector = MetricVector((0,) * 8 + (0.1,), False, ())
+        entries = [RequirementEntry(f"R{i}", vector, (), ()) for i in range(10)]
+        assert reporting._summarize(entries).metrics["ARI"] == (0.1, 0.1, 0.1)
+
     def test_only_degenerate_entries_zero_the_stats(self):
         report = build_report([Requirement(id="R1", text="", row=2)], CONFIG)
         summary = report.summary
@@ -211,9 +233,12 @@ class TestBuildReport:
         report = make_report(column_mapping=mapping)
         assert report.config.column_mapping is mapping
         assert report.config.thresholds == RULES
+        # The snapshot holds the analysis's own dictionaries, in report order.
+        assert list(report.config.dictionaries) == list(DICTIONARY_METRICS)
         info = report.config.dictionaries["O"]
+        assert info is CONFIG.dictionaries["O"]
         assert info.origin == BUILTIN
-        assert info.pattern_count == 3
+        assert len(info.patterns) == 3
 
     def test_rules_from_an_iterator_are_applied_and_listed(self):
         report = make_report(rules=iter(RULES))
@@ -267,7 +292,7 @@ def _reference_json(report):
             "delimiter": mapping.delimiter,
         },
         "dictionaries": {
-            metric: {"origin": info.origin, "pattern_count": info.pattern_count}
+            metric: {"origin": info.origin, "pattern_count": len(info.patterns)}
             for metric, info in config.dictionaries.items()
         },
         "thresholds": [
