@@ -6,6 +6,8 @@ weakness, conjunction count, word count, readability), flags requirements
 against user-supplied thresholds, and renders deterministic reports.
 """
 
+__version__ = "0.1.0"  # set before the submodules are imported: reporting reads it
+
 from .dictionaries import (
     DICTIONARY_METRICS,
     Dictionary,
@@ -14,7 +16,7 @@ from .dictionaries import (
     builtin_dictionaries,
     load_dictionary_file,
 )
-from .errors import CorpusError, MalformedDictionaryError, MalformedThresholdError, ReqsmellError
+from .errors import CorpusError, MalformedFileError, ReqsmellError
 from .ingestion import ColumnMapping, Requirement, load_requirements
 from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 from .reporting import (
@@ -28,8 +30,6 @@ from .reporting import (
 )
 from .text import normalize
 
-__version__ = "0.1.0"
-
 __all__ = [
     "ALL_METRICS",
     "AnalysisConfig",
@@ -38,8 +38,7 @@ __all__ = [
     "CorpusError",
     "DICTIONARY_METRICS",
     "Dictionary",
-    "MalformedDictionaryError",
-    "MalformedThresholdError",
+    "MalformedFileError",
     "MetricVector",
     "PhraseMatcher",
     "PhrasePattern",

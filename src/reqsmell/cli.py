@@ -19,7 +19,7 @@ from .dictionaries import builtin_dictionaries, load_dictionary_file
 from .errors import ReqsmellError
 from .ingestion import ColumnMapping, load_requirements
 from .metrics import AnalysisConfig
-from .reporting import REPORT_FORMATS, AnalysisReport, build_report, load_threshold_file, write_report
+from .reporting import REPORT_FORMATS, AnalysisReport, build_report, load_threshold_file, printable, write_report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -64,15 +64,24 @@ def _write_output(report: AnalysisReport, fmt: str, output: str | None) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise
         return
-    if os.path.isdir(output):
+    # A symlink stays, and its target gets the report.
+    target = os.path.realpath(output)
+    if os.path.isdir(target):
         raise ReqsmellError(f"--output {output} is a directory")
+    if os.path.exists(target) and not os.path.isfile(target):
+        # A FIFO or a device is written into, not replaced.
+        with open(output, "wb") as handle:
+            write_report(report, fmt, handle)
+        return
     # Write via a temp file and rename, so a failed run never leaves a
     # partial report and an existing file survives untouched on error.
     # tempfile is imported here because only this path needs it.
     import tempfile
 
-    directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".reqsmell-")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".reqsmell-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, output) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             write_report(report, fmt, handle)
@@ -81,7 +90,7 @@ def _write_output(report: AnalysisReport, fmt: str, output: str | None) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp_path, 0o666 & ~umask)
-        os.replace(tmp_path, output)
+        os.replace(tmp_path, target)
     except BaseException:
         os.unlink(tmp_path)
         raise
@@ -117,12 +126,11 @@ def run(argv: Sequence[str] | None = None) -> int:
             config=AnalysisConfig.from_dictionaries(dictionaries),
             rules=rules,
             column_mapping=mapping,
-            version=__version__,
             timestamp=timestamp,
         )
         _write_output(report, args.format, args.output)
     except (ReqsmellError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {printable(str(exc))}", file=sys.stderr)
         return EXIT_ERROR
 
     if args.fail_on_flagged and report.summary.flagged_count > 0:

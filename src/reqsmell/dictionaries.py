@@ -17,7 +17,7 @@ from itertools import compress, repeat
 from operator import is_not, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import MalformedDictionaryError, ValidatedTuple, parse_file
+from .errors import MalformedFileError, ValidatedTuple, parse_file
 from .text import _TOKEN_RE, normalize, scan
 
 # Metric identifiers, in report order. These are part of the file-format and
@@ -271,21 +271,19 @@ def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
         if slot:
             fields.pop()
         if any(PARTICIPLE_MARKER in f.upper() for f in fields):
-            raise MalformedDictionaryError(
+            raise MalformedFileError(
                 f"{PARTICIPLE_MARKER} is only allowed at the end of a phrase, as its own word",
                 lineno,
             )
     tokens = tuple(_TOKEN_RE.findall(normalize(" ".join(fields))))
     if not tokens:
-        raise MalformedDictionaryError("empty phrase", lineno)
+        raise MalformedFileError("empty phrase", lineno)
     # Matches never cross a sentence boundary, so a phrase that scan cuts
     # into two sentences (slot included) could never match. Only a line
     # with a terminator can be cut; substring tests are cheaper than a regex.
     terminated = "." in line or ";" in line or "!" in line or "?" in line
     if terminated and len(scan(normalize(line))[1]) > 1:
-        raise MalformedDictionaryError(
-            f"phrase {line!r} spans a sentence boundary and can never match", lineno
-        )
+        raise MalformedFileError(f"phrase {line!r} spans a sentence boundary and can never match", lineno)
     return PhrasePattern(tokens, slot)
 
 
@@ -297,7 +295,7 @@ def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
     are normalized like requirement text, ``#`` starts a comment, and a
     ``<PP>`` as the last word marks a participle slot.
     """
-    sections = parse_file(path, MalformedDictionaryError, _parse_sections)
+    sections = parse_file(path, _parse_sections)
     # Only the metrics the file leaves out need their built-in list.
     return {
         metric: Dictionary(metric, frozenset(sections[metric]), origin=USER_FILE)
@@ -316,9 +314,7 @@ def _parse_sections(lines: list[str]) -> dict[str, list[PhrasePattern]]:
 
     def close_section() -> None:
         if current is not None and not sections[current]:
-            raise MalformedDictionaryError(
-                f"section [{current}] has no phrases", current_header_line
-            )
+            raise MalformedFileError(f"section [{current}] has no phrases", current_header_line)
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -328,19 +324,19 @@ def _parse_sections(lines: list[str]) -> dict[str, list[PhrasePattern]]:
             close_section()
             metric = line[1:-1].strip().upper()
             if metric not in DICTIONARY_METRICS:
-                raise MalformedDictionaryError(f"unknown metric {metric!r}", lineno)
+                raise MalformedFileError(f"unknown metric {metric!r}", lineno)
             if metric in sections:
-                raise MalformedDictionaryError(f"duplicate section [{metric}]", lineno)
+                raise MalformedFileError(f"duplicate section [{metric}]", lineno)
             sections[metric] = []
             current = metric
             current_header_line = lineno
             seen_tokens = set()
             continue
         if current is None:
-            raise MalformedDictionaryError("phrase appears before any [METRIC] section", lineno)
+            raise MalformedFileError("phrase appears before any [METRIC] section", lineno)
         pattern = _parse_phrase_line(line, lineno)
         if pattern.tokens in seen_tokens:
-            raise MalformedDictionaryError(f"duplicate phrase {pattern.phrase!r}", lineno)
+            raise MalformedFileError(f"duplicate phrase {pattern.phrase!r}", lineno)
         seen_tokens.add(pattern.tokens)
         sections[current].append(pattern)
     close_section()

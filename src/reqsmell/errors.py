@@ -19,27 +19,18 @@ class ReqsmellError(Exception):
 
 
 class MalformedFileError(ReqsmellError):
-    """A dictionary or threshold file violates its line format."""
+    """A dictionary or threshold file violates its line format, or is not
+    UTF-8; ``.line`` is the number of the line at fault, if there is one."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
-class MalformedDictionaryError(MalformedFileError):
-    """A dictionary override file violates the dictionary file format."""
-
-
-class MalformedThresholdError(MalformedFileError):
-    """A threshold file violates the ``METRIC OP LIMIT`` line format."""
-
-
-def parse_file(
-    path: str | os.PathLike[str], error: type[MalformedFileError], parse: Callable[[list[str]], _T]
-) -> _T:
-    """``parse`` applied to the lines of the UTF-8 file at ``path``. An
-    ``error`` for a file that is not UTF-8, and any ``MalformedFileError``
-    that ``parse`` raises, start with ``path``.
+def parse_file(path: str | os.PathLike[str], parse: Callable[[list[str]], _T]) -> _T:
+    """``parse`` applied to the lines of the UTF-8 file at ``path``. The
+    error for a file that is not UTF-8, and any ``MalformedFileError`` that
+    ``parse`` raises, start with ``path``.
 
     Lines are split at "\\n" only, so the lines and their numbers are those
     of iterating the file, whose newline translation already ran; a form
@@ -49,7 +40,7 @@ def parse_file(
         try:
             lines = handle.read().split("\n")
         except UnicodeDecodeError as exc:
-            raise error(f"{path}: file is not valid UTF-8 ({exc.reason})") from exc
+            raise MalformedFileError(f"{path}: file is not valid UTF-8 ({exc.reason})") from exc
     try:
         return parse(lines)
     except MalformedFileError as exc:

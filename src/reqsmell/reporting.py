@@ -16,8 +16,9 @@ import unicodedata
 from operator import ge, gt, itemgetter
 from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from . import __version__
 from .dictionaries import DICTIONARY_METRICS, Dictionary
-from .errors import MalformedThresholdError, ValidatedTuple, parse_file
+from .errors import MalformedFileError, ValidatedTuple, parse_file
 from .ingestion import ColumnMapping, Requirement
 from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 
@@ -61,26 +62,24 @@ def parse_threshold_rules(lines: Iterable[str]) -> tuple[ThresholdRule, ...]:
             continue
         fields = line.split()
         if len(fields) != 3:
-            raise MalformedThresholdError(
-                f"expected 'METRIC OP LIMIT', got {line!r}", lineno
-            )
+            raise MalformedFileError(f"expected 'METRIC OP LIMIT', got {line!r}", lineno)
         metric, comparator, raw_limit = fields
         try:
             limit = float(raw_limit)
         except ValueError:
-            raise MalformedThresholdError(f"invalid limit {raw_limit!r}", lineno) from None
+            raise MalformedFileError(f"invalid limit {raw_limit!r}", lineno) from None
         try:
             rule = ThresholdRule(metric, comparator, limit)
         except ValueError as exc:
-            raise MalformedThresholdError(str(exc), lineno) from None
+            raise MalformedFileError(str(exc), lineno) from None
         if metric in rules:
-            raise MalformedThresholdError(f"duplicate rule for metric {metric}", lineno)
+            raise MalformedFileError(f"duplicate rule for metric {metric}", lineno)
         rules[metric] = rule
     return tuple(rules[m] for m in ALL_METRICS if m in rules)
 
 
 def load_threshold_file(path: str | os.PathLike[str]) -> tuple[ThresholdRule, ...]:
-    return parse_file(path, MalformedThresholdError, parse_threshold_rules)
+    return parse_file(path, parse_threshold_rules)
 
 
 def _compile_rules(
@@ -170,10 +169,10 @@ def build_report(
     config: AnalysisConfig,
     rules: Iterable[ThresholdRule] = (),
     column_mapping: ColumnMapping | None = None,
-    version: str = "0.0.0",
     timestamp: str | None = None,
 ) -> AnalysisReport:
-    """Analyze a corpus and assemble the full report in corpus order."""
+    """Analyze a corpus and assemble the full report, under the package's
+    version, in corpus order."""
     rules = tuple(rules)  # read twice below, so an iterator is consumed once, here
     compiled = _compile_rules(rules)
     entries: list[RequirementEntry] = []
@@ -202,7 +201,7 @@ def build_report(
     )
     return AnalysisReport(
         tool=TOOL_NAME,
-        version=version,
+        version=__version__,
         config=snapshot,
         entries=tuple(entries),
         summary=_summarize(entries),
@@ -374,9 +373,10 @@ def _table_cell(value: float) -> str:
     return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
-def _table_text(text: str) -> str:
+def printable(text: str) -> str:
     """``text`` with each non-printable character escaped as Python escapes
-    it ("\\n", "\\x85", "\\u2028"), so a table row stays on one line."""
+    it ("\\n", "\\x85", "\\u2028"), so a table row or a diagnostic stays
+    on one line."""
     return text if text.isprintable() else "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
@@ -396,7 +396,7 @@ def _columns(text: str) -> int:
 def _write_table(report: AnalysisReport, stream: BinaryIO) -> None:
     headers = ["id", *ALL_METRICS, "flags"]
     rows = [
-        [_table_text(entry.id), *map(_table_cell, entry.vector.values), ";".join(entry.flags)]
+        [printable(entry.id), *map(_table_cell, entry.vector.values), ";".join(entry.flags)]
         for entry in report.entries
     ]
 

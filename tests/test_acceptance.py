@@ -17,7 +17,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from reqsmell import __version__
 from reqsmell.cli import run
 from reqsmell.dictionaries import builtin_dictionaries
 from reqsmell.ingestion import ColumnMapping, Requirement, load_requirements
@@ -237,9 +236,7 @@ def test_criterion_5_golden_reports():
     requirements = load_requirements(corpus_path, mapping)
     rules = load_threshold_file(thresholds_path)
 
-    report = build_report(
-        requirements, CONFIG, rules=rules, column_mapping=mapping, version=__version__
-    )
+    report = build_report(requirements, CONFIG, rules=rules, column_mapping=mapping)
 
     # per-requirement values and flags match the hand-derived table
     assert [entry.id for entry in report.entries] == list(GOLDEN_EXPECTATIONS)

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -93,6 +94,35 @@ class TestHappyPaths:
         run(["--input", str(corpus), "--format", "csv", "--output", str(target)])
         leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".reqsmell-")]
         assert leftovers == []
+
+    def test_output_through_a_symlink_writes_its_target(self, corpus, tmp_path):
+        args = ["--input", str(corpus), "--format", "csv", "--output"]
+        plain = tmp_path / "plain.csv"
+        assert run([*args, str(plain)]) == EXIT_OK
+        (tmp_path / "target.csv").write_text("old report\n", encoding="utf-8")
+        for link, target in (("link.csv", "target.csv"), ("dangling.csv", "new.csv")):
+            (tmp_path / link).symlink_to(target)  # relative to the link's directory
+            assert run([*args, str(tmp_path / link)]) == EXIT_OK
+            assert os.readlink(tmp_path / link) == target
+            assert (tmp_path / target).read_bytes() == plain.read_bytes()
+        names = ["corpus.csv", "dangling.csv", "link.csv", "new.csv", "plain.csv", "target.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    def test_output_into_a_fifo_writes_into_it(self, corpus, tmp_path):
+        args = ["--input", str(corpus), "--format", "csv", "--output"]
+        plain = tmp_path / "plain.csv"
+        assert run([*args, str(plain)]) == EXIT_OK
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run([*args, str(fifo)]) == EXIT_OK
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert received == [plain.read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "fifo", "plain.csv"]
 
     def test_custom_columns_and_tab_delimiter(self, tmp_path, capsys):
         path = tmp_path / "corpus.tsv"
@@ -244,6 +274,21 @@ class TestErrorPaths:
         assert run(["--input", str(corpus), "--output", str(target)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_missing_output_directory_names_the_given_path(self, corpus, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.txt"
+        assert run(["--input", str(corpus), "--output", str(target)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+    def test_paths_with_line_breaks_keep_the_error_on_one_line(self, corpus, tmp_path, capsys):
+        rules = tmp_path / "bad\nname.txt"
+        rules.write_text("FOO >= 1\n", encoding="utf-8")
+        assert run(["--input", str(corpus), "--thresholds", str(rules)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {tmp_path / 'bad'}\\nname.txt: line 1: unknown metric 'FOO'\n"
+        directory = tmp_path / "out\ndir"
+        directory.mkdir()
+        assert run(["--input", str(corpus), "--output", str(directory)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --output {tmp_path / 'out'}\\ndir is a directory\n"
+
     def test_quote_delimiter(self, corpus, capsys):
         assert run(["--input", str(corpus), "--delimiter", '"']) == EXIT_ERROR
         err = capsys.readouterr().err
@@ -309,7 +354,6 @@ class TestStreaming:
             AnalysisConfig.default(),
             load_threshold_file(rules),
             column_mapping=mapping,
-            version=__version__,
         )
         expected = render(report, fmt)
         assert (report.summary.flagged_count > 0) == (case != "empty")

@@ -14,7 +14,7 @@ from reqsmell.dictionaries import (
     is_participle,
     load_dictionary_file,
 )
-from reqsmell.errors import MalformedDictionaryError
+from reqsmell.errors import MalformedFileError
 from reqsmell.text import normalize
 
 from oracle import naive_scan, tokenize
@@ -151,7 +151,7 @@ class TestLoader:
     def test_unknown_metric_rejected_with_line(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[X]\nwhatever\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert info.value.line == 1
         assert "unknown metric" in str(info.value)
@@ -159,12 +159,12 @@ class TestLoader:
     def test_errors_name_the_file(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[V]\nmay\n[FOO]\nbar\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert str(info.value) == f"{path}: line 3: unknown metric 'FOO'"
         assert info.value.line == 3
         path.write_bytes(b"[V]\nm\xe9\n")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert str(info.value) == f"{path}: file is not valid UTF-8 (invalid continuation byte)"
         assert info.value.line is None
@@ -180,7 +180,7 @@ class TestLoader:
     def test_placeholder_must_be_trailing(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[V]\nshould <PP> have\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError):
+        with pytest.raises(MalformedFileError):
             load_dictionary_file(path)
 
     @pytest.mark.parametrize(
@@ -190,7 +190,7 @@ class TestLoader:
         # Otherwise "should have<PP>" loads as the literal "should have pp".
         path = tmp_path / "dict.txt"
         path.write_text(f"[V]\nmay\n{phrase}\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert info.value.line == 3
         assert "as its own word" in str(info.value)
@@ -198,42 +198,42 @@ class TestLoader:
     def test_bare_placeholder_is_empty_phrase(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[V]\n<PP>\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert "empty phrase" in str(info.value)
 
     def test_empty_section_rejected(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[V]\n# only a comment\n[O]\ncan\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert info.value.line == 1
 
     def test_trailing_empty_section_rejected(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[O]\ncan\n[V]\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert info.value.line == 3
 
     def test_duplicate_phrase_rejected(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[O]\ncan\nCAN\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert info.value.line == 3
 
     def test_duplicate_section_rejected(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[O]\ncan\n[O]\nmay\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert info.value.line == 3
 
     def test_phrase_before_section_rejected(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("can\n[O]\nmay\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert info.value.line == 1
 
@@ -261,7 +261,7 @@ class TestLoader:
         path.write_bytes(f"# a{separator}b\n[V]\nmay\n".encode("utf-8"))
         assert _phrases(load_dictionary_file(path)["V"]) == {"may"}
         path.write_bytes(f"# a{separator}b\n[V]\nmay\n[XX]\n".encode("utf-8"))
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert info.value.line == 4
 
@@ -271,7 +271,7 @@ class TestLoader:
     def test_phrase_cut_into_sentences_rejected_with_line(self, tmp_path, phrase):
         path = tmp_path / "dict.txt"
         path.write_text(f"[NR2]\nfigure\n{phrase}\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert info.value.line == 3
         assert "sentence boundary" in str(info.value)
@@ -302,7 +302,7 @@ class TestPhraseParsing:
     def test_mixed_case_placeholder_inside_phrase_rejected(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[V]\nmay\nshould <pP> have <PP>\n", encoding="utf-8")
-        with pytest.raises(MalformedDictionaryError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_dictionary_file(path)
         assert info.value.line == 3
         assert "<PP> is only allowed at the end of a phrase" in str(info.value)

@@ -10,8 +10,7 @@ EXPORTS = [
     "CorpusError",
     "DICTIONARY_METRICS",
     "Dictionary",
-    "MalformedDictionaryError",
-    "MalformedThresholdError",
+    "MalformedFileError",
     "MetricVector",
     "PhraseMatcher",
     "PhrasePattern",

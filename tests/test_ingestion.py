@@ -151,6 +151,18 @@ class TestErrors:
         reason = pytest.raises(UnicodeDecodeError, content.decode, "utf-8").value.reason
         assert str(info.value) == f"row {row}: invalid UTF-8 ({reason})"
 
+    def test_invalid_utf8_is_reported_before_an_earlier_duplicate_id(self, tmp_path):
+        # The file is checked whole first, so the outcome does not depend on
+        # whether the bad byte falls in the decoder's first 8 KiB chunk.
+        for filler in (0, 400):
+            rows = ["R1,a", "R1,b", *(f"X{i},{'x' * 40}" for i in range(filler)), "R9,caf\xe9"]
+            path = tmp_path / "corpus.csv"
+            path.write_bytes(("ID,Text\n" + "\n".join(rows) + "\n").encode("latin-1"))
+            assert (filler == 0) == (path.read_bytes().index(b"\xe9") < 8192)
+            with pytest.raises(CorpusError) as info:
+                load_requirements(path, DEFAULT)
+            assert str(info.value) == f"row {filler + 4}: invalid UTF-8 (invalid continuation byte)"
+
     def test_unterminated_quote(self, tmp_path):
         path = write(tmp_path, 'ID,Text\nR1,"unterminated\nR2,second row\nR3,third\n')
         with pytest.raises(CorpusError, match="row 2: unexpected end of data"):

@@ -24,7 +24,7 @@ from reqsmell.dictionaries import (
     load_dictionary_file,
 )
 from reqsmell.cli import run
-from reqsmell.errors import MalformedDictionaryError
+from reqsmell.errors import MalformedFileError
 from reqsmell.ingestion import Requirement
 from reqsmell.metrics import ALL_METRICS, AnalysisConfig, analyze_text
 from reqsmell.reporting import ThresholdRule, build_report
@@ -357,7 +357,7 @@ class TestLoadedPatternsMatch:
                 path.write_text(source, encoding="utf-8")
                 try:
                     config = AnalysisConfig.from_dictionaries(load_dictionary_file(path))
-                except MalformedDictionaryError:
+                except MalformedFileError:
                     reject()
             loaded.append((phrase, slot))
             text = _own_text(phrase, slot)
@@ -418,7 +418,7 @@ _FLAGS = st.fixed_dictionaries(
         "--text-column": st.sampled_from(["Text", "Body", "ID"]),
         "--thresholds": st.sampled_from(range(len(_FILE_CONTENTS))),
         "--dictionaries": st.sampled_from(range(len(_FILE_CONTENTS))),
-        "--output": st.sampled_from(["report.out", ".", "missing/report.out"]),
+        "--output": st.sampled_from(["report.out", ".", "missing/report.out", "new\nline.out", "out\ndir"]),
         "--fail-on-flagged": st.none(),
         "--timestamp": st.none(),
     },
@@ -427,17 +427,20 @@ _FLAGS = st.fixed_dictionaries(
 
 class TestCommandLineRobustness:
     @settings(max_examples=200, deadline=None)
-    @given(_csv_bytes, _FLAGS, st.sampled_from([True, True, True, False]))
-    def test_every_input_ends_with_an_exit_code_and_one_diagnostic(self, data, flags, with_input):
+    @given(
+        _csv_bytes, _FLAGS, st.sampled_from([True, True, True, False]), st.sampled_from(["", "line\nbreak "])
+    )
+    def test_every_input_ends_with_an_exit_code_and_one_diagnostic(self, data, flags, with_input, prefix):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             (root / "input.csv").write_bytes(data)
+            (root / "out\ndir").mkdir()
             for index, content in enumerate(_FILE_CONTENTS):
-                (root / f"file{index}.txt").write_bytes(content)
+                (root / f"{prefix}file{index}.txt").write_bytes(content)
             argv = ["--input", str(root / "input.csv")] if with_input else []
             for flag, value in flags.items():
                 if flag in ("--thresholds", "--dictionaries"):
-                    value = root / f"file{value}.txt"
+                    value = root / f"{prefix}file{value}.txt"
                 elif flag == "--output":
                     value = root / value
                 argv += [flag] if value is None else [flag, str(value)]
@@ -452,7 +455,11 @@ class TestCommandLineRobustness:
             if code != 1 and "--output" in flags:
                 report = (root / flags["--output"]).read_bytes()
         assert code in (0, 1, 2)
-        assert sum("error:" in line for line in stderr.getvalue().splitlines()) <= 1
+        diagnostics = stderr.getvalue().splitlines()
+        assert sum("error:" in line for line in diagnostics) <= 1
+        if not any(line.startswith("usage:") for line in diagnostics):
+            # Whatever the paths hold, each diagnostic is one line.
+            assert all(line.startswith(("error: ", "warning: ")) for line in diagnostics)
         if code != 1 and flags.get("--format", "table") == "table":
             # One line per requirement between the dashes and the first blank
             # line, whatever the ids hold.

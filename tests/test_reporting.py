@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from reqsmell import reporting
+from reqsmell import __version__, reporting
 from reqsmell.dictionaries import BUILTIN, DICTIONARY_METRICS
-from reqsmell.errors import MalformedThresholdError
+from reqsmell.errors import MalformedFileError
 from reqsmell.ingestion import ColumnMapping, Requirement, load_requirements
 from reqsmell.metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 from reqsmell.reporting import (
@@ -36,7 +36,7 @@ RULES = parse_threshold_rules(["V >= 2", "NR1 >= 1", "NW > 40"])
 
 
 def make_report(**kwargs):
-    defaults = dict(requirements=CORPUS, config=CONFIG, rules=RULES, version="1.2.3")
+    defaults = dict(requirements=CORPUS, config=CONFIG, rules=RULES)
     defaults.update(kwargs)
     return build_report(**defaults)
 
@@ -113,12 +113,12 @@ class TestParseThresholdRules:
         ],
     )
     def test_malformed_lines(self, line, fragment):
-        with pytest.raises(MalformedThresholdError, match=fragment) as info:
+        with pytest.raises(MalformedFileError, match=fragment) as info:
             parse_threshold_rules([line])
         assert info.value.line == 1
 
     def test_duplicate_metric_rejected(self):
-        with pytest.raises(MalformedThresholdError) as info:
+        with pytest.raises(MalformedFileError) as info:
             parse_threshold_rules(["V >= 1", "V > 3"])
         assert info.value.line == 2
 
@@ -131,7 +131,7 @@ class TestParseThresholdRules:
     def test_load_rejects_invalid_utf8(self, tmp_path):
         path = tmp_path / "thresholds.txt"
         path.write_bytes(b"NW > 40\nV >= \xff\n")
-        with pytest.raises(MalformedThresholdError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_threshold_file(path)
         assert str(info.value) == f"{path}: file is not valid UTF-8 (invalid start byte)"
         assert info.value.line is None
@@ -139,12 +139,12 @@ class TestParseThresholdRules:
     def test_load_names_the_file_and_keeps_the_line(self, tmp_path):
         path = tmp_path / "thresholds.txt"
         path.write_text("NW > 40\nFOO >= 2\n", encoding="utf-8")
-        with pytest.raises(MalformedThresholdError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_threshold_file(path)
         assert str(info.value) == f"{path}: line 2: unknown metric 'FOO'"
         assert info.value.line == 2
         # Parsing lines alone names no file.
-        with pytest.raises(MalformedThresholdError) as info:
+        with pytest.raises(MalformedFileError) as info:
             parse_threshold_rules(["NW > 40", "FOO >= 2"])
         assert str(info.value) == "line 2: unknown metric 'FOO'"
 
@@ -153,7 +153,7 @@ class TestParseThresholdRules:
         # a new line, as when the file is read line by line.
         path = tmp_path / "thresholds.txt"
         path.write_text("# a\x0cb\u2028c\r\nV ~= 2\n", encoding="utf-8")
-        with pytest.raises(MalformedThresholdError) as info:
+        with pytest.raises(MalformedFileError) as info:
             load_threshold_file(path)
         assert info.value.line == 2
 
@@ -225,8 +225,8 @@ class TestBuildReport:
         assert report.entries[1].warnings == ("requirement text contains no words",)
         assert report.entries[0].warnings == ()
 
-    def test_version_passthrough(self):
-        assert make_report(version="9.9.9").version == "9.9.9"
+    def test_report_carries_the_package_version(self):
+        assert make_report().version == __version__
 
     def test_config_snapshot(self):
         mapping = ColumnMapping(id_column="Key")
