@@ -64,11 +64,12 @@ def _write_output(report: AnalysisReport, fmt: str, output: str | None) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise
         return
-    # A symlink stays, and its target gets the report.
-    target = os.path.realpath(output)
+    # A symlink stays, and its target gets the report. "" stays "", not the
+    # working directory, and fails to open below.
+    target = output and os.path.realpath(output)
     if os.path.isdir(target):
         raise ReqsmellError(f"--output {output} is a directory")
-    if os.path.exists(target) and not os.path.isfile(target):
+    if not target or (os.path.exists(target) and not os.path.isfile(target)):
         # A FIFO or a device is written into, not replaced.
         with open(output, "wb") as handle:
             write_report(report, fmt, handle)
@@ -111,8 +112,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             raise ReqsmellError(str(exc)) from exc
 
-        dictionaries = load_dictionary_file(args.dictionaries) if args.dictionaries else builtin_dictionaries()
-        rules = load_threshold_file(args.thresholds) if args.thresholds else ()
+        # An empty path is a path, which fails to open, not an absent flag.
+        dictionaries = builtin_dictionaries() if args.dictionaries is None else load_dictionary_file(args.dictionaries)
+        rules = () if args.thresholds is None else load_threshold_file(args.thresholds)
 
         requirements = load_requirements(args.input, mapping)
         if not requirements:

@@ -203,13 +203,9 @@ class PhraseMatcher:
             if pattern.participle_slot:
                 node.slots += ((depth, index, metric, text + " "),)
             else:
-                entry = (index, depth, metric, text)
-                if node.winners:
-                    node.winners = (entry,) + tuple(
-                        other for other in node.winners if other[0] != index
-                    )
-                else:
-                    node.winners = (entry,)
+                node.winners = ((index, depth, metric, text),) + tuple(
+                    other for other in node.winners if other[0] != index
+                )
 
     def find_matches(
         self, words: Sequence[str], sentences: Iterable[tuple[int, int]]

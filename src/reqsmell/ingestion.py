@@ -9,6 +9,7 @@ Rows are numbered by record: the header is record 1.
 import csv
 import io
 import os
+import re
 from typing import NamedTuple
 
 from .errors import CorpusError, ValidatedTuple
@@ -58,28 +59,11 @@ def _column_index(header: list[str], name: str) -> int:
     return hits[0]
 
 
-def _decode_error(data: bytes, exc: UnicodeDecodeError, delimiter: str) -> CorpusError:
-    """The error for ``exc``, the first invalid UTF-8 sequence in ``data``,
-    naming the record that holds it: the records before it are counted."""
-    # The sentinel joins a record the bad bytes interrupt, and starts a new
-    # one where they start a record, so the count includes their record.
-    prefix = data[: exc.start].decode("utf-8-sig")  # without a leading BOM
-    reader = csv.reader(io.StringIO(prefix + "x", newline=""), delimiter=delimiter)
-    record = 0
-    try:
-        for _ in reader:
-            record += 1
-    except csv.Error as error:
-        # A malformed record before the bad bytes is the first fault.
-        return CorpusError(f"row {record + 1}: {error}")
-    return CorpusError(f"row {record}: invalid UTF-8 ({exc.reason})")
-
-
 def load_requirements(path: str | os.PathLike[str], mapping: ColumnMapping) -> list[Requirement]:
     """Read one requirement per data row, in file order; columns other than
     the id and text columns are accepted and ignored. The file is read once
-    and checked to be UTF-8 before any row is, so invalid UTF-8 is reported
-    first, unless a field before the bad bytes is over the CSV size limit.
+    and parsed in one pass that reports its first fault in file order; in a
+    record with both a CSV fault and invalid UTF-8, the CSV fault.
 
     Raises :class:`CorpusError` on invalid input, naming the row when a row
     is at fault: a missing or repeated column, a wrong field count, an empty
@@ -89,27 +73,34 @@ def load_requirements(path: str | os.PathLike[str], mapping: ColumnMapping) -> l
     """
     with open(path, "rb") as handle:
         data = handle.read()
+    reason = None  # why the file is not UTF-8, if it is not
     try:
         data.decode("utf-8")  # only checked: the parser decodes as it reads
     except UnicodeDecodeError as exc:
-        raise _decode_error(data, exc, mapping.delimiter) from exc
+        reason = exc.reason
+    # BytesIO shares data and the wrapper decodes it chunk by chunk, so no
+    # text of the whole file outlives the check. Each invalid byte becomes a
+    # lone surrogate, which valid UTF-8 never decodes to. The BOM is skipped
+    # here, as "utf-8-sig" drops a truncated one at the end of the file.
+    raw = io.BytesIO(data)
+    raw.seek(3 if data.startswith(b"\xef\xbb\xbf") else 0)
+    text = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="")
+    # strict: an unterminated quote or text after a closing quote is an
+    # error, not a field that runs on.
+    reader = csv.reader(text, delimiter=mapping.delimiter, strict=True)
     requirements: list[Requirement] = []
     seen_ids: dict[str, int] = {}
-    record = 0  # records read so far
-    # BytesIO shares data and the wrapper decodes it chunk by chunk, so no
-    # text of the whole file outlives the check. strict: an unterminated quote
-    # or text after a closing quote is an error, not a field that runs on.
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-    reader = csv.reader(text, delimiter=mapping.delimiter, strict=True)
+    header = None
+    record = 0  # records read so far; the header is record 1
     try:
-        header = next(reader, None)
-        if header is None:
-            raise CorpusError("file is empty; a header row is required")
-        record = 1
-        id_index = _column_index(header, mapping.id_column)
-        text_index = _column_index(header, mapping.text_column)
-        for row in reader:
-            record += 1
+        for record, row in enumerate(reader, start=1):
+            if reason is not None and re.search("[\udc80-\udcff]", "".join(row)):
+                raise CorpusError(f"row {record}: invalid UTF-8 ({reason})")
+            if header is None:
+                header = row
+                id_index = _column_index(header, mapping.id_column)
+                text_index = _column_index(header, mapping.text_column)
+                continue
             if not row:
                 continue  # blank line, not a data row
             if len(row) != len(header):
@@ -126,4 +117,6 @@ def load_requirements(path: str | os.PathLike[str], mapping: ColumnMapping) -> l
             requirements.append(Requirement(requirement_id, row[text_index], record))
     except csv.Error as exc:
         raise CorpusError(f"row {record + 1}: {exc}") from exc
+    if header is None:
+        raise CorpusError("file is empty; a header row is required")
     return requirements

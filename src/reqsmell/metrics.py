@@ -47,7 +47,8 @@ class MetricVector(NamedTuple):
 
 
 class AnalysisConfig(NamedTuple):
-    """Immutable bundle of the seven dictionaries and their merged matcher."""
+    """Immutable bundle of the seven dictionaries, in report order, and
+    their merged matcher."""
 
     dictionaries: Mapping[str, Dictionary]
     matcher: PhraseMatcher
@@ -57,8 +58,8 @@ class AnalysisConfig(NamedTuple):
         missing = [m for m in DICTIONARY_METRICS if m not in dictionaries]
         if missing:
             raise ValueError(f"missing dictionaries for metrics: {', '.join(missing)}")
-        matcher = PhraseMatcher({m: dictionaries[m] for m in DICTIONARY_METRICS})
-        return cls(dict(dictionaries), matcher)
+        ordered = {m: dictionaries[m] for m in DICTIONARY_METRICS}
+        return cls(ordered, PhraseMatcher(ordered))
 
     @classmethod
     def default(cls) -> "AnalysisConfig":

@@ -17,7 +17,6 @@ from operator import ge, gt, itemgetter
 from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import __version__
-from .dictionaries import DICTIONARY_METRICS, Dictionary
 from .errors import MalformedFileError, ValidatedTuple, parse_file
 from .ingestion import ColumnMapping, Requirement
 from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
@@ -99,22 +98,12 @@ def _compile_rules(
     )
 
 
-class ReportConfig(NamedTuple):
-    """Snapshot of everything that shaped the analysis."""
-
-    dictionaries: Mapping[str, Dictionary]  # the analysis's own, in report order
-    thresholds: tuple[ThresholdRule, ...]
-    column_mapping: ColumnMapping | None = None
-    timestamp: str | None = None
-
-
 class RequirementEntry(NamedTuple):
-    """Per-requirement results: metric vector, flags, warnings."""
+    """Per-requirement results: metric vector and flags."""
 
     id: str
     vector: MetricVector
     flags: tuple[str, ...]
-    warnings: tuple[str, ...]
 
 
 class MetricSummary(NamedTuple):
@@ -131,9 +120,12 @@ class ReportSummary(NamedTuple):
 
 
 class AnalysisReport(NamedTuple):
-    tool: str
-    version: str
-    config: ReportConfig
+    """A corpus analysis: what shaped it, then its results in corpus order."""
+
+    config: AnalysisConfig
+    rules: tuple[ThresholdRule, ...]
+    column_mapping: ColumnMapping | None
+    timestamp: str | None
     entries: tuple[RequirementEntry, ...]
     summary: ReportSummary
 
@@ -171,8 +163,7 @@ def build_report(
     column_mapping: ColumnMapping | None = None,
     timestamp: str | None = None,
 ) -> AnalysisReport:
-    """Analyze a corpus and assemble the full report, under the package's
-    version, in corpus order."""
+    """Analyze a corpus and assemble the full report, in corpus order."""
     rules = tuple(rules)  # read twice below, so an iterator is consumed once, here
     compiled = _compile_rules(rules)
     entries: list[RequirementEntry] = []
@@ -185,27 +176,8 @@ def build_report(
                 for index, violated, limit, metric in compiled
                 if violated(vector.values[index], limit)
             )
-        entries.append(
-            RequirementEntry(
-                id=requirement.id,
-                vector=vector,
-                flags=flags,
-                warnings=("requirement text contains no words",) if vector.degenerate else (),
-            )
-        )
-    snapshot = ReportConfig(
-        dictionaries={m: config.dictionaries[m] for m in DICTIONARY_METRICS},
-        thresholds=rules,
-        column_mapping=column_mapping,
-        timestamp=timestamp,
-    )
-    return AnalysisReport(
-        tool=TOOL_NAME,
-        version=__version__,
-        config=snapshot,
-        entries=tuple(entries),
-        summary=_summarize(entries),
-    )
+        entries.append(RequirementEntry(requirement.id, vector, flags))
+    return AnalysisReport(config, rules, column_mapping, timestamp, tuple(entries), _summarize(entries))
 
 
 def write_report(report: AnalysisReport, fmt: str, stream: BinaryIO) -> None:
@@ -229,28 +201,30 @@ def render(report: AnalysisReport, fmt: str) -> bytes:
     return buffer.getvalue()
 
 
-def _config_payload(config: ReportConfig) -> dict:
+def _config_payload(report: AnalysisReport) -> dict:
     # The column mapping is keyed by its tuple's field names, so renaming a
     # field changes the report.
     payload: dict = {
-        "column_mapping": None if config.column_mapping is None else config.column_mapping._asdict(),
+        "column_mapping": None if report.column_mapping is None else report.column_mapping._asdict(),
         "dictionaries": {
             metric: {"origin": dictionary.origin, "pattern_count": len(dictionary.patterns)}
-            for metric, dictionary in config.dictionaries.items()
+            for metric, dictionary in report.config.dictionaries.items()
         },
         "thresholds": [
             {"metric": rule.metric_id, "comparator": rule.comparator, "limit": rule.limit}
-            for rule in config.thresholds
+            for rule in report.rules
         ],
     }
-    if config.timestamp is not None:
-        payload["timestamp"] = config.timestamp
+    if report.timestamp is not None:
+        payload["timestamp"] = report.timestamp
     return payload
 
 
 def _write_json(report: AnalysisReport, stream: BinaryIO) -> None:
     """Write the report as ``json.dumps(payload, indent=2,
-    ensure_ascii=False)`` plus a newline would, byte for byte.
+    ensure_ascii=False)`` plus a newline would, byte for byte. The payload's
+    "tool" and "version" are the package's, and a requirement's "warnings"
+    list holds one warning exactly when it is degenerate.
 
     Only the small head goes through ``json.dumps``, whose indenting encoder
     is pure Python. The requirements array has a fixed schema and is written
@@ -261,9 +235,9 @@ def _write_json(report: AnalysisReport, stream: BinaryIO) -> None:
     from json.encoder import encode_basestring
 
     head = {
-        "tool": report.tool,
-        "version": report.version,
-        "config": _config_payload(report.config),
+        "tool": TOOL_NAME,
+        "version": __version__,
+        "config": _config_payload(report),
         "summary": {
             "requirement_count": report.summary.requirement_count,
             "flagged_count": report.summary.flagged_count,
@@ -338,6 +312,10 @@ def _array_json(items: Iterable[str]) -> str:
     return "[\n" + body + "\n      ]" if body else "[]"
 
 
+# The warnings array, indexed by whether the requirement is degenerate.
+_WARNINGS = ("[]", _array_json(['        "requirement text contains no words"']))
+
+
 def _requirement_json(
     entry: RequirementEntry, encode: Callable[[str], str], span_heads: _Memo, span_tails: _Memo
 ) -> str:
@@ -352,7 +330,7 @@ def _requirement_json(
             map(span_tails.__getitem__, map(_positions, spans)),
         )),
         _array_json(["        " + encode(flag) for flag in entry.flags]),
-        _array_json(["        " + encode(warning) for warning in entry.warnings]),
+        _WARNINGS[vector.degenerate],
     )
 
 

@@ -269,6 +269,15 @@ class TestErrorPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "reports"]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--thresholds", "--dictionaries", "--output"])
+    def test_an_empty_path_fails_to_open(self, corpus, tmp_path, monkeypatch, capsys, flag):
+        # An empty value is a path that does not exist, not an absent flag,
+        # and for --output not the working directory.
+        monkeypatch.chdir(tmp_path)
+        assert run(["--input", str(corpus), "--fail-on-flagged", flag, ""]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv"]
+
     def test_unwritable_output_directory(self, corpus, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "report.json"
         assert run(["--input", str(corpus), "--output", str(target)]) == EXIT_ERROR

@@ -151,9 +151,9 @@ class TestErrors:
         reason = pytest.raises(UnicodeDecodeError, content.decode, "utf-8").value.reason
         assert str(info.value) == f"row {row}: invalid UTF-8 ({reason})"
 
-    def test_invalid_utf8_is_reported_before_an_earlier_duplicate_id(self, tmp_path):
-        # The file is checked whole first, so the outcome does not depend on
-        # whether the bad byte falls in the decoder's first 8 KiB chunk.
+    def test_an_earlier_duplicate_id_is_reported_before_invalid_utf8(self, tmp_path):
+        # The first fault in file order is reported, whether or not the bad
+        # byte falls in the decoder's first 8 KiB chunk.
         for filler in (0, 400):
             rows = ["R1,a", "R1,b", *(f"X{i},{'x' * 40}" for i in range(filler)), "R9,caf\xe9"]
             path = tmp_path / "corpus.csv"
@@ -161,7 +161,37 @@ class TestErrors:
             assert (filler == 0) == (path.read_bytes().index(b"\xe9") < 8192)
             with pytest.raises(CorpusError) as info:
                 load_requirements(path, DEFAULT)
-            assert str(info.value) == f"row {filler + 4}: invalid UTF-8 (invalid continuation byte)"
+            assert str(info.value) == "duplicate requirement id 'R1' (rows 2 and 3)"
+
+    def test_an_earlier_malformed_record_is_reported_before_invalid_utf8(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(b'ID,Text\nR1,"ab"c\nR2,\xe9\n')
+        with pytest.raises(CorpusError) as info:
+            load_requirements(path, DEFAULT)
+        assert str(info.value) == "row 2: ',' expected after '\"'"
+
+    def test_a_csv_fault_wins_over_invalid_utf8_in_its_own_record(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(b'ID,Text\nR1,"ab\xe9\n')
+        with pytest.raises(CorpusError) as info:
+            load_requirements(path, DEFAULT)
+        assert str(info.value) == "row 2: unexpected end of data"
+
+    def test_an_earlier_field_over_parser_limit_is_reported_before_invalid_utf8(self, tmp_path):
+        oversized = b"x" * (csv.field_size_limit() + 1)
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(b"ID,Text\nR1,short\nR2," + oversized + b"\nR3,caf\xe9\n")
+        with pytest.raises(CorpusError) as info:
+            load_requirements(path, DEFAULT)
+        assert str(info.value) == f"row 3: field larger than field limit ({csv.field_size_limit()})"
+
+    @pytest.mark.parametrize("content", [b"\xef", b"\xef\xbb"])
+    def test_a_truncated_bom_is_invalid_utf8_in_row_1(self, tmp_path, content):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(content)
+        with pytest.raises(CorpusError) as info:
+            load_requirements(path, DEFAULT)
+        assert str(info.value) == "row 1: invalid UTF-8 (unexpected end of data)"
 
     def test_unterminated_quote(self, tmp_path):
         path = write(tmp_path, 'ID,Text\nR1,"unterminated\nR2,second row\nR3,third\n')

@@ -416,9 +416,9 @@ _FLAGS = st.fixed_dictionaries(
         "--delimiter": st.sampled_from([",", ",", ";", "\\t", "\t", "|", '"', "\n", "ab"]),
         "--id-column": st.sampled_from(["ID", "Key", "Text", ""]),
         "--text-column": st.sampled_from(["Text", "Body", "ID"]),
-        "--thresholds": st.sampled_from(range(len(_FILE_CONTENTS))),
-        "--dictionaries": st.sampled_from(range(len(_FILE_CONTENTS))),
-        "--output": st.sampled_from(["report.out", ".", "missing/report.out", "new\nline.out", "out\ndir"]),
+        "--thresholds": st.sampled_from([*range(len(_FILE_CONTENTS)), ""]),
+        "--dictionaries": st.sampled_from([*range(len(_FILE_CONTENTS)), ""]),
+        "--output": st.sampled_from(["report.out", ".", "missing/report.out", "new\nline.out", "out\ndir", ""]),
         "--fail-on-flagged": st.none(),
         "--timestamp": st.none(),
     },
@@ -439,7 +439,9 @@ class TestCommandLineRobustness:
                 (root / f"{prefix}file{index}.txt").write_bytes(content)
             argv = ["--input", str(root / "input.csv")] if with_input else []
             for flag, value in flags.items():
-                if flag in ("--thresholds", "--dictionaries"):
+                if value == "":
+                    pass  # an empty path is passed as it is
+                elif flag in ("--thresholds", "--dictionaries"):
                     value = root / f"{prefix}file{value}.txt"
                 elif flag == "--output":
                     value = root / value
@@ -455,6 +457,8 @@ class TestCommandLineRobustness:
             if code != 1 and "--output" in flags:
                 report = (root / flags["--output"]).read_bytes()
         assert code in (0, 1, 2)
+        if "" in (flags.get("--thresholds"), flags.get("--dictionaries"), flags.get("--output")):
+            assert code == 1  # an empty path fails to open
         diagnostics = stderr.getvalue().splitlines()
         assert sum("error:" in line for line in diagnostics) <= 1
         if not any(line.startswith("usage:") for line in diagnostics):

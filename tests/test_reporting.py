@@ -201,7 +201,7 @@ class TestSummarize:
         # 3.12, which made the mean, and the JSON report, depend on the
         # interpreter version.
         vector = MetricVector((0,) * 8 + (0.1,), False, ())
-        entries = [RequirementEntry(f"R{i}", vector, (), ()) for i in range(10)]
+        entries = [RequirementEntry(f"R{i}", vector, ()) for i in range(10)]
         assert reporting._summarize(entries).metrics["ARI"] == (0.1, 0.1, 0.1)
 
     def test_only_degenerate_entries_zero_the_stats(self):
@@ -222,31 +222,34 @@ class TestBuildReport:
 
     def test_degenerate_entry_carries_warning(self):
         report = make_report()
-        assert report.entries[1].warnings == ("requirement text contains no words",)
-        assert report.entries[0].warnings == ()
+        assert [entry.vector.degenerate for entry in report.entries] == [False, True, False]
+        warnings = [entry["warnings"] for entry in json.loads(render(report, "json"))["requirements"]]
+        assert warnings == [[], ["requirement text contains no words"], []]
 
     def test_report_carries_the_package_version(self):
-        assert make_report().version == __version__
+        payload = json.loads(render(make_report(), "json"))
+        assert (payload["tool"], payload["version"]) == ("reqsmell", __version__)
 
     def test_config_snapshot(self):
         mapping = ColumnMapping(id_column="Key")
         report = make_report(column_mapping=mapping)
-        assert report.config.column_mapping is mapping
-        assert report.config.thresholds == RULES
-        # The snapshot holds the analysis's own dictionaries, in report order.
+        assert report.column_mapping is mapping
+        assert report.rules == RULES
+        # The report holds the analysis's own config, its dictionaries in
+        # report order.
+        assert report.config is CONFIG
         assert list(report.config.dictionaries) == list(DICTIONARY_METRICS)
         info = report.config.dictionaries["O"]
-        assert info is CONFIG.dictionaries["O"]
         assert info.origin == BUILTIN
         assert len(info.patterns) == 3
 
     def test_rules_from_an_iterator_are_applied_and_listed(self):
         report = make_report(rules=iter(RULES))
-        assert report.config.thresholds == RULES
+        assert report.rules == RULES
         assert [entry.flags for entry in report.entries] == [("V",), (), ("NR1",)]
 
     def test_timestamp_defaults_to_none(self):
-        assert make_report().config.timestamp is None
+        assert make_report().timestamp is None
 
 
 class TestRenderJson:
@@ -283,8 +286,7 @@ class TestRenderJson:
 
 def _reference_json(report):
     """The report through json.dumps, which the JSON writer must equal."""
-    config = report.config
-    mapping = config.column_mapping
+    mapping = report.column_mapping
     config_payload = {
         "column_mapping": None if mapping is None else {
             "id_column": mapping.id_column,
@@ -293,19 +295,19 @@ def _reference_json(report):
         },
         "dictionaries": {
             metric: {"origin": info.origin, "pattern_count": len(info.patterns)}
-            for metric, info in config.dictionaries.items()
+            for metric, info in report.config.dictionaries.items()
         },
         "thresholds": [
             {"metric": rule.metric_id, "comparator": rule.comparator, "limit": rule.limit}
-            for rule in config.thresholds
+            for rule in report.rules
         ],
     }
-    if config.timestamp is not None:
-        config_payload["timestamp"] = config.timestamp
+    if report.timestamp is not None:
+        config_payload["timestamp"] = report.timestamp
     summary = report.summary
     payload = {
-        "tool": report.tool,
-        "version": report.version,
+        "tool": "reqsmell",
+        "version": __version__,
         "config": config_payload,
         "summary": {
             "requirement_count": summary.requirement_count,
@@ -325,7 +327,7 @@ def _reference_json(report):
                     for metric, phrase, start, end in entry.vector.spans
                 ],
                 "flags": list(entry.flags),
-                "warnings": list(entry.warnings),
+                "warnings": ["requirement text contains no words"] if entry.vector.degenerate else [],
             }
             for entry in report.entries
         ],
@@ -351,7 +353,6 @@ class TestRenderJsonEncoding:
             id=self.AWKWARD,
             vector=vector._replace(spans=spans),
             flags=("V", "ARI"),
-            warnings=(self.AWKWARD,),
         )
         return report._replace(entries=report.entries + (entry,))
 
