@@ -9,17 +9,18 @@ stderr, never as a traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import os
 import sys
-from typing import Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from . import __version__
 from .dictionaries import builtin_dictionaries, load_dictionary_file
 from .errors import ReqsmellError
 from .ingestion import ColumnMapping, load_requirements
 from .metrics import AnalysisConfig
-from .reporting import REPORT_FORMATS, AnalysisReport, build_report, load_threshold_file, printable, write_report
+from .reporting import REPORT_FORMATS, build_report, load_threshold_file, printable, write_report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -51,11 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(report: AnalysisReport, fmt: str, output: str | None) -> None:
-    """Write the report into its destination while rendering it."""
+@contextlib.contextmanager
+def _destination(output: str | None) -> Iterator[BinaryIO]:
+    """The report's binary stream, opened before the analysis: a bad --output fails first."""
     if output is None:
         try:
-            write_report(report, fmt, sys.stdout.buffer)
+            yield sys.stdout.buffer
             sys.stdout.buffer.flush()
         except BrokenPipeError:
             # The reader went away. Python flushes stdout again at exit,
@@ -72,7 +74,7 @@ def _write_output(report: AnalysisReport, fmt: str, output: str | None) -> None:
     if not target or (os.path.exists(target) and not os.path.isfile(target)):
         # A FIFO or a device is written into, not replaced.
         with open(output, "wb") as handle:
-            write_report(report, fmt, handle)
+            yield handle
         return
     # Write via a temp file and rename, so a failed run never leaves a
     # partial report and an existing file survives untouched on error.
@@ -85,7 +87,7 @@ def _write_output(report: AnalysisReport, fmt: str, output: str | None) -> None:
         raise OSError(exc.errno, exc.strerror, output) from None
     try:
         with os.fdopen(fd, "wb") as handle:
-            write_report(report, fmt, handle)
+            yield handle
         # mkstemp creates the file 0600; give the report the mode a plain
         # open() would, 0666 less the umask.
         umask = os.umask(0)
@@ -123,14 +125,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         timestamp = None
         if args.timestamp:
             timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-        report = build_report(
-            requirements,
-            config=AnalysisConfig.from_dictionaries(dictionaries),
-            rules=rules,
-            column_mapping=mapping,
-            timestamp=timestamp,
-        )
-        _write_output(report, args.format, args.output)
+        with _destination(args.output) as stream:
+            report = build_report(
+                requirements,
+                config=AnalysisConfig.from_dictionaries(dictionaries),
+                rules=rules,
+                column_mapping=mapping,
+                timestamp=timestamp,
+                spans=args.format == "json",
+            )
+            write_report(report, args.format, stream)
     except (ReqsmellError, OSError) as exc:
         print(f"error: {printable(str(exc))}", file=sys.stderr)
         return EXIT_ERROR

@@ -208,11 +208,12 @@ class PhraseMatcher:
                 )
 
     def find_matches(
-        self, words: Sequence[str], sentences: Iterable[tuple[int, int]]
-    ) -> list[list[tuple[str, str, int, int]]]:
+        self, words: Sequence[str], sentences: Iterable[tuple[int, int]], spans: bool = True
+    ) -> list[list[tuple[str, str, int, int]]] | list[int]:
         """Matches in ``words`` cut into ``sentences``, half-open ranges of
-        word indices that partition ``words`` in order."""
-        found: list[list[tuple[str, str, int, int]]] = [[] for _ in range(self._metric_count)]
+        word indices that partition ``words`` in order. With ``spans``
+        false, only the number of matches per metric, and no tuple is built."""
+        found: list = [[] for _ in range(self._metric_count)] if spans else [0] * self._metric_count
         resume = [0] * self._metric_count  # per metric, the first unconsumed index
         nodes = list(map(self._root.get, words))
         bounds = iter(sentences)
@@ -234,7 +235,10 @@ class PhraseMatcher:
                 winners = _with_slots(winners, node.slots, words, i, end)
             for index, length, metric, phrase in winners:
                 if resume[index] <= i:
-                    found[index].append((metric, phrase, i, i + length))
+                    if spans:
+                        found[index].append((metric, phrase, i, i + length))
+                    else:
+                        found[index] += 1
                     resume[index] = i + length
         return found
 

@@ -24,9 +24,9 @@ _METRIC_INDEX = {metric: index for index, metric in enumerate(ALL_METRICS)}
 
 
 class MetricVector(NamedTuple):
-    """The nine metric values for one requirement, in report order, plus
-    match evidence: one ``(metric, phrase, start, end)`` tuple per
-    dictionary hit, with a half-open word range, as the matcher returns it."""
+    """The nine metric values for one requirement, in report order, plus match
+    evidence: one ``(metric, phrase, start, end)`` tuple per dictionary hit,
+    with a half-open word range, or ``()`` when analysed without spans."""
 
     values: tuple[float, ...]
     degenerate: bool
@@ -66,24 +66,24 @@ class AnalysisConfig(NamedTuple):
         return cls.from_dictionaries(builtin_dictionaries())
 
 
-def analyze_text(text: str, config: AnalysisConfig) -> MetricVector:
+def analyze_text(text: str, config: AnalysisConfig, spans: bool = True) -> MetricVector:
     """Compute the full metric vector for one requirement text.
 
-    Each sentence is scanned independently (greedy, longest match wins,
-    matched tokens consumed), so a phrase never straddles a boundary; one
-    matcher call covers all sentences and all seven dictionaries. Span
-    indices refer to the full token sequence; spans are ordered by metric
-    in report order, then by position.
+    Each sentence is scanned independently (greedy, longest match wins, matched
+    tokens consumed), so a phrase never straddles a boundary; one matcher call
+    covers all sentences and all seven dictionaries. Span indices refer to the
+    full token sequence; spans are ordered by metric in report order, then by
+    position. With ``spans`` false the matcher only counts, and ``spans`` is ().
     """
     words, sentences, letter_count = scan(normalize(text))
-    found = config.matcher.find_matches(words, sentences)
+    found = config.matcher.find_matches(words, sentences, spans)
     nw = len(words)
     return MetricVector(
         values=(
-            *map(len, found),
+            *(map(len, found) if spans else found),
             nw,
             (nw / len(sentences) + 9.0 * (letter_count / nw)) if nw else 0.0,
         ),
         degenerate=not nw,
-        spans=tuple(chain.from_iterable(found)),
+        spans=tuple(chain.from_iterable(found)) if spans else (),
     )

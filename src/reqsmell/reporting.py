@@ -13,6 +13,7 @@ import io
 import math
 import os
 import unicodedata
+from functools import partial
 from operator import ge, gt, itemgetter
 from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -128,6 +129,7 @@ class AnalysisReport(NamedTuple):
     timestamp: str | None
     entries: tuple[RequirementEntry, ...]
     summary: ReportSummary
+    with_spans: bool = True  # false when its vectors hold no match spans
 
 
 def _summarize(entries: Sequence[RequirementEntry]) -> ReportSummary:
@@ -162,13 +164,16 @@ def build_report(
     rules: Iterable[ThresholdRule] = (),
     column_mapping: ColumnMapping | None = None,
     timestamp: str | None = None,
+    spans: bool = True,
 ) -> AnalysisReport:
-    """Analyze a corpus and assemble the full report, in corpus order."""
+    """Analyze a corpus and assemble the full report, in corpus order. With
+    ``spans`` false no match span is built, and the report has no JSON form."""
     rules = tuple(rules)  # read twice below, so an iterator is consumed once, here
     compiled = _compile_rules(rules)
+    analyze = analyze_text if spans else partial(analyze_text, spans=False)
     entries: list[RequirementEntry] = []
     for requirement in requirements:
-        vector = analyze_text(requirement.text, config)
+        vector = analyze(requirement.text, config)
         flags: tuple[str, ...] = ()
         if compiled:
             flags = tuple(
@@ -177,7 +182,7 @@ def build_report(
                 if violated(vector.values[index], limit)
             )
         entries.append(RequirementEntry(requirement.id, vector, flags))
-    return AnalysisReport(config, rules, column_mapping, timestamp, tuple(entries), _summarize(entries))
+    return AnalysisReport(config, rules, column_mapping, timestamp, tuple(entries), _summarize(entries), spans)
 
 
 def write_report(report: AnalysisReport, fmt: str, stream: BinaryIO) -> None:
@@ -230,6 +235,8 @@ def _write_json(report: AnalysisReport, stream: BinaryIO) -> None:
     is pure Python. The requirements array has a fixed schema and is written
     from templates, with each string leaf through the C string encoder.
     """
+    if not report.with_spans:  # empty span lists would read as "no matches"
+        raise ValueError("a report built without spans has no JSON form")
     # Imported here, not at module level: only this format needs json.
     import json
     from json.encoder import encode_basestring

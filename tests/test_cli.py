@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import reqsmell
-from reqsmell import __version__, reporting
+from reqsmell import __version__, cli, reporting
 from reqsmell.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, main, run
 from reqsmell.ingestion import ColumnMapping, load_requirements
 from reqsmell.metrics import AnalysisConfig
@@ -123,6 +123,22 @@ class TestHappyPaths:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert received == [plain.read_bytes()]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "fifo", "plain.csv"]
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_only_the_json_report_builds_spans(self, corpus, monkeypatch, capsys, fmt):
+        built = []
+        real = cli.build_report
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_report", recording)
+        assert run(["--input", str(corpus), "--format", fmt]) == EXIT_OK
+        capsys.readouterr()
+        (report,) = built
+        assert report.with_spans == (fmt == "json")
+        assert (sum(len(entry.vector.spans) for entry in report.entries) > 0) == (fmt == "json")
 
     def test_custom_columns_and_tab_delimiter(self, tmp_path, capsys):
         path = tmp_path / "corpus.tsv"
@@ -297,6 +313,23 @@ class TestErrorPaths:
         directory.mkdir()
         assert run(["--input", str(corpus), "--output", str(directory)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: --output {tmp_path / 'out'}\\ndir is a directory\n"
+
+    def test_a_bad_output_fails_before_the_analysis(self, corpus, tmp_path, monkeypatch, capsys):
+        def analysis(*args, **kwargs):
+            raise AssertionError("build_report was called")
+
+        monkeypatch.setattr(cli, "build_report", analysis)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "reports").mkdir()
+        for output, message in (
+            ("reports", "error: --output reports is a directory\n"),
+            ("missing/r.txt", "error: [Errno 2] No such file or directory: 'missing/r.txt'\n"),
+            ("", "error: [Errno 2] No such file or directory: ''\n"),
+        ):
+            assert run(["--input", str(corpus), "--format", "json", "--output", output]) == EXIT_ERROR
+            assert capsys.readouterr() == ("", message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "reports"]
+        assert list((tmp_path / "reports").iterdir()) == []
 
     def test_quote_delimiter(self, corpus, capsys):
         assert run(["--input", str(corpus), "--delimiter", '"']) == EXIT_ERROR

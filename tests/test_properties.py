@@ -3,12 +3,14 @@
 Texts here are built three ways: arbitrary unicode and mostly-ASCII text for
 the text-core properties, and keyword splices (dictionary phrases mixed with
 filler) for the matcher properties, so the interesting code paths actually
-fire. The command-line property draws CSV bytes and flag sets.
+fire. The command-line property draws CSV bytes and flag sets, and for a
+share of its runs a well-formed corpus with valid flags.
 """
 
 import contextlib
 import csv
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -220,6 +222,26 @@ class TestMergedMatcher:
                 merged += [(m, phrase, first + a, first + b) for m, phrase, a, b in matches]
         assert matcher.find_matches(words, sentences) == expected
 
+    @given(
+        st.one_of(
+            pieces.map(lambda parts: (CONFIG, splice(parts))),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_GLOSSARY_PIECES),
+                    st.sampled_from([" ", " ", ". ", "; ", ", "]),
+                ),
+                max_size=30,
+            ).map(lambda parts: (_GLOSSARY_CONFIG, splice(parts))),
+        )
+    )
+    def test_counting_without_spans_gives_the_same_values(self, case):
+        # On the built-ins and on the <PP> glossary alike.
+        config, text = case
+        counted = analyze_text(text, config, spans=False)
+        assert counted.values == analyze_text(text, config).values
+        assert list(map(type, counted.values)) == [int] * 8 + [float]
+        assert counted.spans == ()
+
     def test_spans_are_metric_major_then_positional(self):
         text = "and may be able to see the reference; may be done as in figure 2"
         vector = analyze_text(text, _GLOSSARY_CONFIG)
@@ -425,49 +447,104 @@ _FLAGS = st.fixed_dictionaries(
 )
 
 
+# Runs that ingestion accepts: a well-formed corpus of keyword texts and
+# only valid flags, so a share of the drawn runs reaches the analysis and
+# every report format.
+_well_formed_run = st.tuples(
+    st.lists(
+        st.tuples(st.text(alphabet="R0123456789-é", min_size=1, max_size=6), pieces.map(splice)),
+        max_size=8,
+        unique_by=lambda row: row[0],
+    ).map(_csv_rows),
+    st.fixed_dictionaries(
+        {"--format": st.sampled_from(["json", "csv", "table"])},
+        optional={
+            "--thresholds": st.just(0),
+            "--dictionaries": st.just(3),
+            "--output": st.just("report.out"),
+            "--fail-on-flagged": st.none(),
+            "--timestamp": st.none(),
+        },
+    ),
+    st.just(True),
+    st.sampled_from(["", "line\nbreak "]),
+)
+
+
 class TestCommandLineRobustness:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        _csv_bytes, _FLAGS, st.sampled_from([True, True, True, False]), st.sampled_from(["", "line\nbreak "])
-    )
-    def test_every_input_ends_with_an_exit_code_and_one_diagnostic(self, data, flags, with_input, prefix):
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            (root / "input.csv").write_bytes(data)
-            (root / "out\ndir").mkdir()
-            for index, content in enumerate(_FILE_CONTENTS):
-                (root / f"{prefix}file{index}.txt").write_bytes(content)
-            argv = ["--input", str(root / "input.csv")] if with_input else []
-            for flag, value in flags.items():
-                if value == "":
-                    pass  # an empty path is passed as it is
-                elif flag in ("--thresholds", "--dictionaries"):
-                    value = root / f"{prefix}file{value}.txt"
-                elif flag == "--output":
-                    value = root / value
-                argv += [flag] if value is None else [flag, str(value)]
-            if not flags:
-                # Cover argparse's usage error with an unknown flag.
-                argv.append("--bogus")
-            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = run(argv)
-            report = stdout.buffer.getvalue()
-            if code != 1 and "--output" in flags:
-                report = (root / flags["--output"]).read_bytes()
-        assert code in (0, 1, 2)
-        if "" in (flags.get("--thresholds"), flags.get("--dictionaries"), flags.get("--output")):
-            assert code == 1  # an empty path fails to open
-        diagnostics = stderr.getvalue().splitlines()
-        assert sum("error:" in line for line in diagnostics) <= 1
-        if not any(line.startswith("usage:") for line in diagnostics):
-            # Whatever the paths hold, each diagnostic is one line.
-            assert all(line.startswith(("error: ", "warning: ")) for line in diagnostics)
-        if code != 1 and flags.get("--format", "table") == "table":
-            # One line per requirement between the dashes and the first blank
-            # line, whatever the ids hold.
-            lines = report.decode("utf-8").splitlines()
-            blank = lines.index("")
-            assert set(lines[1]) <= {"-", " "}
-            assert lines[blank + 1].startswith(f"requirements: {blank - 2} ")
+    def test_every_input_ends_with_an_exit_code_and_one_diagnostic(self):
+        analysed = []
+
+        @settings(max_examples=200, deadline=None)
+        @given(
+            st.one_of(
+                st.tuples(
+                    _csv_bytes,
+                    _FLAGS,
+                    st.sampled_from([True, True, True, False]),
+                    st.sampled_from(["", "line\nbreak "]),
+                ),
+                _well_formed_run,
+            )
+        )
+        def check(case):
+            data, flags, with_input, prefix = case
+            code, report, diagnostics = _run_cli(data, flags, with_input, prefix)
+            assert code in (0, 1, 2)
+            if "" in (flags.get("--thresholds"), flags.get("--dictionaries"), flags.get("--output")):
+                assert code == 1  # an empty path fails to open
+            assert sum("error:" in line for line in diagnostics) <= 1
+            if not any(line.startswith("usage:") for line in diagnostics):
+                # Whatever the paths hold, each diagnostic is one line.
+                assert all(line.startswith(("error: ", "warning: ")) for line in diagnostics)
+            if code == 1:
+                return
+            analysed.append(flags.get("--format", "table"))
+            if analysed[-1] == "table":
+                # One line per requirement between the dashes and the first
+                # blank line, whatever the ids hold.
+                lines = report.decode("utf-8").splitlines()
+                blank = lines.index("")
+                assert set(lines[1]) <= {"-", " "}
+                assert lines[blank + 1].startswith(f"requirements: {blank - 2} ")
+            elif analysed[-1] == "json":
+                # The JSON report holds every match's span.
+                for entry in json.loads(report)["requirements"]:
+                    assert len(entry["spans"]) == sum(entry["metrics"][m] for m in DICTIONARY_METRICS)
+
+        check()
+        # Most random inputs fail in ingestion; enough runs must get past it,
+        # in each format.
+        assert len(analysed) >= 50
+        assert min(map(analysed.count, ("json", "csv", "table"))) >= 5
+
+
+def _run_cli(data, flags, with_input, prefix):
+    """Run the CLI on ``data`` with ``flags`` in a fresh directory; return
+    its exit code, its report bytes and its stderr lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "input.csv").write_bytes(data)
+        (root / "out\ndir").mkdir()
+        for index, content in enumerate(_FILE_CONTENTS):
+            (root / f"{prefix}file{index}.txt").write_bytes(content)
+        argv = ["--input", str(root / "input.csv")] if with_input else []
+        for flag, value in flags.items():
+            if value == "":
+                pass  # an empty path is passed as it is
+            elif flag in ("--thresholds", "--dictionaries"):
+                value = root / f"{prefix}file{value}.txt"
+            elif flag == "--output":
+                value = root / value
+            argv += [flag] if value is None else [flag, str(value)]
+        if not flags:
+            # Cover argparse's usage error with an unknown flag.
+            argv.append("--bogus")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        report = stdout.buffer.getvalue()
+        if code != 1 and "--output" in flags:
+            report = (root / flags["--output"]).read_bytes()
+    return code, report, stderr.getvalue().splitlines()

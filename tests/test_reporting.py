@@ -531,6 +531,51 @@ class TestRenderJsonMemory:
         assert peak < 2 * size
 
 
+def _keyword_dense_requirements(rows=200):
+    """Requirements of 40 built-in phrases each, slot patterns filled in."""
+    phrases = sorted(
+        " ".join(p.tokens) + (" implemented" if p.participle_slot else "")
+        for dictionary in CONFIG.dictionaries.values()
+        for p in dictionary.patterns
+    )
+    return [
+        Requirement(f"K{i}", ", ".join(phrases[(i + j) % len(phrases)] for j in range(40)) + ".", i + 2)
+        for i in range(rows)
+    ]
+
+
+class TestReportWithoutSpans:
+    """``build_report(..., spans=False)`` only counts the matches."""
+
+    DATA = Path(__file__).parent / "data"
+
+    @pytest.mark.parametrize("corpus", ["golden", "keyword-dense"])
+    def test_csv_and_table_bytes_do_not_depend_on_spans(self, corpus):
+        if corpus == "golden":
+            requirements = load_requirements(self.DATA / "sample_corpus.csv", ColumnMapping())
+            rules = load_threshold_file(self.DATA / "thresholds.txt")
+        else:
+            requirements, rules = _keyword_dense_requirements(), RULES
+        spanned = build_report(requirements, CONFIG, rules)
+        counted = build_report(requirements, CONFIG, rules, spans=False)
+        assert spanned.with_spans and not counted.with_spans
+        assert sum(len(entry.vector.spans) for entry in spanned.entries) > len(requirements)
+        assert all(entry.vector.spans == () for entry in counted.entries)
+        for fmt in ("csv", "table"):
+            assert render(counted, fmt) == render(spanned, fmt)
+        if corpus == "golden":
+            assert render(counted, "csv") == (self.DATA / "golden_report.csv").read_bytes()
+
+    def test_json_of_a_report_without_spans_is_an_error(self):
+        report = make_report(spans=False)
+        stream = io.BytesIO()
+        with pytest.raises(ValueError, match="without spans"):
+            write_report(report, "json", stream)
+        assert stream.getvalue() == b""
+        with pytest.raises(ValueError, match="without spans"):
+            render(report, "json")
+
+
 class TestRenderDispatch:
     def test_dispatch_matches_direct_calls(self, tmp_path):
         # write_report into a file, which is what the CLI does, writes the
