@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import datetime
 import os
 import sys
 from typing import BinaryIO, Iterator, Sequence
@@ -124,7 +123,9 @@ def run(argv: Sequence[str] | None = None) -> int:
 
         timestamp = None
         if args.timestamp:
-            timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+            from datetime import datetime, timezone  # imported here: only this flag needs it
+
+            timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         with _destination(args.output) as stream:
             report = build_report(
                 requirements,

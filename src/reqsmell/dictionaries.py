@@ -136,8 +136,7 @@ class Dictionary(ValidatedTuple, _DictionaryFields):
             raise ValueError(f"unknown metric id {self.metric_id!r}")
         if not self.patterns:
             raise ValueError(f"dictionary {self.metric_id} has no patterns")
-        token_lists = [p.tokens for p in self.patterns]
-        if len(set(token_lists)) != len(token_lists):
+        if len({p.tokens for p in self.patterns}) != len(self.patterns):
             raise ValueError(f"dictionary {self.metric_id} has duplicate token lists")
 
 
@@ -190,22 +189,22 @@ class PhraseMatcher:
         # Shorter patterns first: a node then gets all its own patterns
         # before it has children, so each child can copy its parent's tables.
         entries.sort(key=itemgetter(0))
-        for depth, index, metric, pattern in entries:
+        for depth, index, metric, (tokens, slot) in entries:
             node = root
-            for token in pattern.tokens:
+            for token in tokens:
                 child = node.get(token)
                 if child is None:
                     child = node[token] = _TrieNode()
                     child.winners = node.winners
                     child.slots = node.slots
                 node = child
-            text = " ".join(pattern.tokens)
-            if pattern.participle_slot:
+            text = " ".join(tokens)
+            if slot:
                 node.slots += ((depth, index, metric, text + " "),)
+            elif node.winners:
+                node.winners = ((index, depth, metric, text), *[w for w in node.winners if w[0] != index])
             else:
-                node.winners = ((index, depth, metric, text),) + tuple(
-                    other for other in node.winners if other[0] != index
-                )
+                node.winners = ((index, depth, metric, text),)
 
     def find_matches(
         self, words: Sequence[str], sentences: Iterable[tuple[int, int]], spans: bool = True
@@ -263,10 +262,15 @@ def _with_slots(
 
 
 def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
-    fields = line.split()
+    """The pattern of a stripped phrase line: the words of ``normalize`` of
+    the line without a final ``<PP>``, exactly as in requirement text. A line
+    of alphanumerics and spaces has the words of ``str.split``, any other line
+    those of the token regex. That is exact: ``[^\\W_]`` is the per-character
+    test of ``str.isalnum``, so the regex too cuts such a line at its spaces only."""
     slot = False
-    # Most lines hold no marker; only those that do need the field checks.
-    if PARTICIPLE_MARKER in line.upper():
+    # Only a line with a "<" can hold the marker; only those need the field checks.
+    if "<" in line and PARTICIPLE_MARKER in line.upper():
+        fields = line.split()
         slot = fields[-1].upper() == PARTICIPLE_MARKER
         if slot:
             fields.pop()
@@ -275,14 +279,16 @@ def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
                 f"{PARTICIPLE_MARKER} is only allowed at the end of a phrase, as its own word",
                 lineno,
             )
-    tokens = tuple(_TOKEN_RE.findall(normalize(" ".join(fields))))
+    text = normalize(line[:-4] if slot else line)  # the marker is the last four characters
+    if text.replace(" ", "").isalnum():
+        return PhrasePattern(tuple(text.split()), slot)
+    tokens = tuple(_TOKEN_RE.findall(text))
     if not tokens:
         raise MalformedFileError("empty phrase", lineno)
     # Matches never cross a sentence boundary, so a phrase that scan cuts
     # into two sentences (slot included) could never match. Only a line
-    # with a terminator can be cut; substring tests are cheaper than a regex.
-    terminated = "." in line or ";" in line or "!" in line or "?" in line
-    if terminated and len(scan(normalize(line))[1]) > 1:
+    # with a terminator, which is not alphanumeric, can be cut.
+    if ("." in line or ";" in line or "!" in line or "?" in line) and len(scan(normalize(line))[1]) > 1:
         raise MalformedFileError(f"phrase {line!r} spans a sentence boundary and can never match", lineno)
     return PhrasePattern(tokens, slot)
 
@@ -317,7 +323,7 @@ def _parse_sections(lines: list[str]) -> dict[str, list[PhrasePattern]]:
             raise MalformedFileError(f"section [{current}] has no phrases", current_header_line)
 
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.partition("#")[0] if "#" in raw else raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -328,8 +334,7 @@ def _parse_sections(lines: list[str]) -> dict[str, list[PhrasePattern]]:
             if metric in sections:
                 raise MalformedFileError(f"duplicate section [{metric}]", lineno)
             sections[metric] = []
-            current = metric
-            current_header_line = lineno
+            current, current_header_line = metric, lineno
             seen_tokens = set()
             continue
         if current is None:

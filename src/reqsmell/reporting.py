@@ -46,8 +46,8 @@ class ThresholdRule(ValidatedTuple, _ThresholdRuleFields):
             raise ValueError(f"unknown metric {self.metric_id!r}")
         if self.comparator not in _COMPARISONS:
             raise ValueError(f"unknown comparator {self.comparator!r}")
-        if not isinstance(self.limit, (int, float)) or not math.isfinite(self.limit):
-            # A NaN rule never fires and an infinite one cannot be reached.
+        if isinstance(self.limit, bool) or not isinstance(self.limit, (int, float)) or not math.isfinite(self.limit):
+            # NaN never fires, infinity is never reached, and a bool renders as true/false.
             raise ValueError(f"limit must be a finite number, got {self.limit!r}")
         if self.limit < 0:
             raise ValueError("limit must be non-negative")

@@ -80,6 +80,42 @@ class TestHappyPaths:
         run(["--input", str(corpus), "--format", "json", "--output", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
+    def test_report_is_identical_across_hash_seeds(self, tmp_path):
+        # frozenset iteration order, and with it the order in which patterns
+        # reach the trie, changes with PYTHONHASHSEED; the report must not.
+        # The glossary nests literals inside one metric and across metrics,
+        # with gaps (no pattern on "may have" in V) that a text walks into,
+        # and puts participle slots at two depths.
+        glossary = tmp_path / "glossary.txt"
+        glossary.write_text(
+            "[V]\nmay\nmay have been done\nshall be\nshall be able to\nshould have <PP>\nit\nit shall not be\n"
+            "[W]\nshall\nshall be able to work\nbe <PP>\nmay have\n"
+            "[O]\nmay\nmay be <PP>\nshould have\nshould have been seen\n"
+            "[NC]\nand\nand or else\nor\nbe\nor so and\n",
+            encoding="utf-8",
+        )
+        corpus = tmp_path / "corpus.csv"
+        texts = [
+            "It may have been tested and or shall be able now",
+            "It shall be able to run; it may be built or so should have written logs",
+            "The unit should have been shown and may have seen it. It shall be able",
+            "Shall be; may be done; be taken and or shall should have been may",
+            "It shall not fail and or else it may have gone or so",
+        ]
+        corpus.write_text("ID,Text\n" + "".join(f"R{i},{t}\n" for i, t in enumerate(texts)), encoding="utf-8")
+        reports = set()
+        for seed in ("0", "1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-m", "reqsmell", "--input", str(corpus), "--dictionaries", str(glossary),
+                 "--format", "json"],
+                env={**os.environ, "PYTHONPATH": PACKAGE_ROOT, "PYTHONHASHSEED": seed},
+                capture_output=True,
+            )
+            assert result.returncode == 0, result.stderr
+            reports.add(result.stdout)
+        assert len(reports) == 1
+        assert b'"should have written"' in reports.pop()
+
     def test_output_file_mode_follows_umask(self, corpus, tmp_path):
         target = tmp_path / "report.csv"
         previous = os.umask(0o022)
@@ -164,9 +200,14 @@ class TestHappyPaths:
         assert payload["config"]["dictionaries"]["O"]["origin"] == "builtin"
 
     def test_timestamp_flag(self, corpus, capsys):
+        from datetime import datetime, timezone
+
+        before = datetime.now(timezone.utc).replace(microsecond=0)
         run(["--input", str(corpus), "--format", "json", "--timestamp"])
         config = json.loads(capsys.readouterr().out)["config"]
-        assert "timestamp" in config
+        # UTC to the second, ISO 8601 with an explicit offset.
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", config["timestamp"])
+        assert before <= datetime.fromisoformat(config["timestamp"]) <= datetime.now(timezone.utc)
         run(["--input", str(corpus), "--format", "json"])
         config = json.loads(capsys.readouterr().out)["config"]
         assert "timestamp" not in config
@@ -500,7 +541,8 @@ class TestModuleInvocation:
         # dataclasses and the modules it imports cost more than the rest of
         # the package, and string annotations on a NamedTuple are compiled
         # through typing.ForwardRef. Only the import system may compile,
-        # and only the package's source files.
+        # and only the package's source files. datetime, json and tempfile
+        # are imported only by the runs that use them.
         code = textwrap.dedent("""
             import builtins, sys
             compiled = []
@@ -512,7 +554,7 @@ class TestModuleInvocation:
             import reqsmell.cli
             print(sorted({"dataclasses", "inspect", "ast", "dis"} & set(sys.modules)))
             print([name for name in compiled if not name.endswith(".py")])
-            print(sorted({"json", "tempfile"} & set(sys.modules)))
+            print(sorted({"datetime", "json", "tempfile"} & set(sys.modules)))
         """)
         result = subprocess.run(
             [sys.executable, "-S", "-c", code],

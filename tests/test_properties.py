@@ -394,6 +394,77 @@ class TestLoadedPatternsMatch:
         assert sum(slot for _, slot in loaded) >= 20
 
 
+# Pieces of one phrase line. Plain pieces are alphanumeric or whitespace;
+# the others are joiners, an underscore, a combining mark after a space and
+# line-separator whitespace; terminators come apart. NFC maps U+2000 to
+# U+2002, and U+2028 and U+0085 stay inside a line of a dictionary file.
+_PLAIN_PIECES = ["a", "Zq", "b7", "09", "\u00c9", "\u00df", "\u00b2", "\u0663", " ", " ", "\t", "\xa0", "\u2000"]
+_OTHER_PIECES = ["_", "'", "-", "\u2019", " \u0301", "\u2028", "\x85"]
+_TERMINATORS = [".", ";", "!", "?"]
+_MARKERS = ["", "", "", " <PP>", " <pp>", "\t<Pp>", "<PP>", " <PP> x"]
+
+
+def _reference_pattern(line: str) -> PhrasePattern | None:
+    """The pattern that a phrase line (comment already cut) must load as,
+    or None if it must be refused: the oracle's tokens of the normalized
+    fields, a final ``<PP>`` field as a slot, and no phrase that the
+    oracle cuts into two sentences."""
+    fields = line.split()
+    slot = bool(fields) and fields[-1].upper() == "<PP>"
+    if slot:
+        fields.pop()
+    if any("<PP>" in field.upper() for field in fields):
+        return None
+    text = normalize(" ".join(fields))
+    tokens = tuple(token.text for token in tokenize(text))
+    whole = normalize(line)
+    if not tokens or len(split_sentences(whole, tokenize(whole))) > 1:
+        return None
+    return PhrasePattern(tokens, slot)
+
+
+class TestLoaderTokenization:
+    """A phrase line loads as the tokens requirement text would give it."""
+
+    def test_loaded_pattern_equals_the_reference(self):
+        seen = {"plain": 0, "regex": 0, "slot": 0, "refused": 0}
+
+        # One phrase per file, so a file that loads is that phrase's verdict.
+        @settings(max_examples=300, deadline=None)
+        @given(
+            st.sampled_from(DICTIONARY_METRICS),
+            st.one_of(
+                st.lists(st.sampled_from(_PLAIN_PIECES), min_size=1, max_size=8),
+                st.lists(st.sampled_from(_PLAIN_PIECES + _OTHER_PIECES), min_size=1, max_size=8),
+                st.lists(st.sampled_from(_PLAIN_PIECES + _OTHER_PIECES + _TERMINATORS), min_size=1, max_size=8),
+            ),
+            st.sampled_from(_MARKERS),
+            st.sampled_from(["", "#", " # <PP>; note", "#x.y"]),
+        )
+        def check(metric, pieces, marker, comment):
+            line = "".join(pieces) + marker
+            path.write_text(f"[{metric}]\n{line}{comment}\n", encoding="utf-8")
+            expected = _reference_pattern(line)
+            try:
+                loaded = load_dictionary_file(path)[metric].patterns
+            except MalformedFileError:
+                loaded = None
+            assert loaded == (None if expected is None else frozenset({expected})), repr(line)
+            if expected is None:
+                seen["refused"] += 1
+            else:
+                fields = line.split()[:-1] if expected.participle_slot else line.split()
+                plain = "".join(normalize(" ".join(fields)).split()).isalnum()
+                seen["plain" if plain else "regex"] += 1
+                seen["slot"] += expected.participle_slot
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dict.txt"
+            check()
+        # Enough drawn lines must take each path of the loader, and be refused.
+        assert min(seen.values()) >= 20, seen
+
+
 # Inputs for the command line: CSV bytes from a few header shapes and a body
 # of delimiters, quotes, line breaks, a NUL, non-ASCII and an invalid UTF-8
 # byte, well-formed rows whose ids are any text, or plain random bytes; flag

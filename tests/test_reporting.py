@@ -69,7 +69,7 @@ class TestThresholdRule:
         with pytest.raises(ValueError, match=f"limit must be a finite number, got {limit}"):
             ThresholdRule("V", ">=", limit)
 
-    @pytest.mark.parametrize("limit", ["3", None])
+    @pytest.mark.parametrize("limit", ["3", None, True, False])
     def test_rejects_non_numeric_limit(self, limit):
         with pytest.raises(ValueError, match=f"limit must be a finite number, got {limit!r}"):
             ThresholdRule("V", ">=", limit)
@@ -79,6 +79,8 @@ class TestThresholdRule:
             ThresholdRule._make(("V", ">", -1))
         with pytest.raises(ValueError, match="finite"):
             ThresholdRule("V", ">", 1)._replace(limit=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdRule("V", ">", 1)._replace(limit=True)
         with pytest.raises(AttributeError):
             ThresholdRule("V", ">", 1).limit = 2
 
