@@ -287,8 +287,8 @@ def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
         raise MalformedFileError("empty phrase", lineno)
     # Matches never cross a sentence boundary, so a phrase that scan cuts
     # into two sentences (slot included) could never match. Only a line
-    # with a terminator, which is not alphanumeric, can be cut.
-    if ("." in line or ";" in line or "!" in line or "?" in line) and len(scan(normalize(line))[1]) > 1:
+    # whose normalized text holds a terminator can be cut: U+037E becomes ";".
+    if ("." in text or ";" in text or "!" in text or "?" in text) and len(scan(normalize(line))[1]) > 1:
         raise MalformedFileError(f"phrase {line!r} spans a sentence boundary and can never match", lineno)
     return PhrasePattern(tokens, slot)
 

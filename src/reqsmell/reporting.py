@@ -167,13 +167,19 @@ def build_report(
     spans: bool = True,
 ) -> AnalysisReport:
     """Analyze a corpus and assemble the full report, in corpus order. With
-    ``spans`` false no match span is built, and the report has no JSON form."""
+    ``spans`` false no match span is built, and the report has no JSON form.
+    Entries share one tuple per distinct span and per distinct flag set."""
     rules = tuple(rules)  # read twice below, so an iterator is consumed once, here
     compiled = _compile_rules(rules)
     analyze = analyze_text if spans else partial(analyze_text, spans=False)
+    # Most spans and flag sets repeat across rows; keeping the first of each
+    # lets the copies die now instead of living until the report is written.
+    share = {}.setdefault
     entries: list[RequirementEntry] = []
     for requirement in requirements:
         vector = analyze(requirement.text, config)
+        if vector.spans:
+            vector = MetricVector(vector.values, vector.degenerate, tuple(map(share, vector.spans, vector.spans)))
         flags: tuple[str, ...] = ()
         if compiled:
             flags = tuple(
@@ -181,6 +187,7 @@ def build_report(
                 for index, violated, limit, metric in compiled
                 if violated(vector.values[index], limit)
             )
+            flags = share(flags, flags)
         entries.append(RequirementEntry(requirement.id, vector, flags))
     return AnalysisReport(config, rules, column_mapping, timestamp, tuple(entries), _summarize(entries), spans)
 

@@ -266,7 +266,12 @@ class TestLoader:
         assert info.value.line == 4
 
     @pytest.mark.parametrize(
-        "phrase", ["e.g.", "i.e.", "see ref. 3", "stop! now", "a; b", "should have. <PP>", "must have ; <PP>"]
+        "phrase",
+        [
+            "e.g.", "i.e.", "see ref. 3", "stop! now", "a; b", "should have. <PP>", "must have ; <PP>",
+            # U+037E GREEK QUESTION MARK normalizes to ";".
+            "a\u037eb", "must have \u037e <PP>",
+        ],
     )
     def test_phrase_cut_into_sentences_rejected_with_line(self, tmp_path, phrase):
         path = tmp_path / "dict.txt"

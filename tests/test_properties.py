@@ -319,33 +319,52 @@ class TestVectorInvariants:
         ).value("ARI")
 
 
+threshold_rules = st.lists(
+    st.builds(
+        ThresholdRule,
+        st.sampled_from(ALL_METRICS),
+        st.sampled_from([">", ">="]),
+        st.integers(min_value=0, max_value=5),
+    ),
+    max_size=6,
+    unique_by=lambda rule: rule.metric_id,
+)
+
+
+def violated(vector, rules):
+    """The metrics whose rule ``vector`` violates, in report order."""
+    expected = []
+    for metric in ALL_METRICS:
+        for rule in rules:
+            if rule.metric_id != metric:
+                continue
+            value = vector.value(metric)
+            hit = value > rule.limit if rule.comparator == ">" else value >= rule.limit
+            if hit:
+                expected.append(metric)
+    return expected
+
+
 class TestFlagSoundness:
-    @given(
-        pieces,
-        st.lists(
-            st.tuples(
-                st.sampled_from(ALL_METRICS),
-                st.sampled_from([">", ">="]),
-                st.integers(min_value=0, max_value=5),
-            ),
-            max_size=6,
-            unique_by=lambda rule: rule[0],
-        ),
-    )
-    def test_flags_are_exactly_the_violated_rules(self, parts, raw_rules):
-        rules = [ThresholdRule(m, op, limit) for m, op, limit in raw_rules]
+    @given(pieces, threshold_rules)
+    def test_flags_are_exactly_the_violated_rules(self, parts, rules):
         (entry,) = build_report([Requirement("R1", splice(parts), 2)], CONFIG, rules).entries
-        vector, flags = entry.vector, list(entry.flags)
-        expected = []
-        for metric in ALL_METRICS:
-            for rule in rules:
-                if rule.metric_id != metric:
-                    continue
-                value = vector.value(metric)
-                hit = value > rule.limit if rule.comparator == ">" else value >= rule.limit
-                if hit:
-                    expected.append(metric)
-        assert flags == expected
+        assert list(entry.flags) == violated(entry.vector, rules)
+
+
+class TestReportEntries:
+    @given(st.lists(pieces, max_size=5), threshold_rules, st.booleans())
+    def test_entries_equal_analyze_text_of_their_rows(self, rows, rules, spans):
+        # Every text occurs twice, so the report meets equal spans and flags
+        # in different rows.
+        texts = [splice(parts) for parts in rows] * 2
+        requirements = [Requirement(f"R{i}", text, i + 2) for i, text in enumerate(texts)]
+        report = build_report(requirements, CONFIG, rules, spans=spans)
+        assert [entry.id for entry in report.entries] == [r.id for r in requirements]
+        for text, entry in zip(texts, report.entries):
+            vector = analyze_text(text, CONFIG, spans=spans)
+            assert entry.vector == vector  # values, degenerate and spans, by value
+            assert list(entry.flags) == violated(vector, rules)
 
 
 def _own_text(phrase: str, slot: bool) -> str:

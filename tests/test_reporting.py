@@ -578,6 +578,34 @@ class TestReportWithoutSpans:
             render(report, "json")
 
 
+class TestSharedTuples:
+    """A report keeps one tuple per distinct span and per distinct flag set."""
+
+    def test_equal_spans_and_flags_are_one_object(self):
+        report = build_report(_keyword_dense_requirements(), CONFIG, RULES)
+        spans = [span for entry in report.entries for span in entry.vector.spans]
+        assert len(spans) > 2 * len(set(spans))  # the corpus repeats its spans
+        assert len(set(map(id, spans))) == len(set(spans))
+        flags = [entry.flags for entry in report.entries]
+        assert len(set(map(id, flags))) == len(set(flags)) < len(flags)
+
+    def test_report_heap_of_keyword_dense_rows(self):
+        requirements = _keyword_dense_requirements(2000)
+        build_report(requirements[:1], CONFIG)  # the first call fills caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = build_report(requirements, CONFIG)
+            heap = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        span_count = sum(len(entry.vector.spans) for entry in report.entries)
+        assert span_count > 90_000
+        # A span held by reference costs 8 bytes of its row's tuple; a span
+        # tuple of its own costs about 80 more.
+        assert heap < 32 * span_count
+
+
 class TestRenderDispatch:
     def test_dispatch_matches_direct_calls(self, tmp_path):
         # write_report into a file, which is what the CLI does, writes the
