@@ -6,8 +6,6 @@ requirement is flagged, 1 for usage, IO, or validation errors (reported on
 stderr, never as a traceback).
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import os
@@ -71,9 +69,12 @@ def _destination(output: str | None) -> Iterator[BinaryIO]:
     if os.path.isdir(target):
         raise ReqsmellError(f"--output {output} is a directory")
     if not target or (os.path.exists(target) and not os.path.isfile(target)):
-        # A FIFO or a device is written into, not replaced.
-        with open(output, "wb") as handle:
-            yield handle
+        # A FIFO or a device is written into, not replaced; a failed write names it.
+        try:
+            with open(output, "wb") as handle:
+                yield handle
+        except OSError as exc:
+            raise exc if exc.filename is not None else OSError(exc.errno, exc.strerror, output) from None
         return
     # Write via a temp file and rename, so a failed run never leaves a
     # partial report and an existing file survives untouched on error.

@@ -13,12 +13,11 @@ literal pattern beats a participle-slot pattern of the same length.
 """
 
 import os
-from itertools import compress, repeat
-from operator import is_not, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedFileError, ValidatedTuple, parse_file
-from .text import _TOKEN_RE, normalize, scan
+from .text import normalize, scan
 
 # Metric identifiers, in report order. These are part of the file-format and
 # report contracts (section headers, CSV columns), not abbreviations of ours.
@@ -217,11 +216,12 @@ class PhraseMatcher:
         nodes = list(map(self._root.get, words))
         bounds = iter(sentences)
         end = 0
-        # A leaf node is an empty dict, so test hits against None, not truth.
-        for i in compress(range(len(words)), map(is_not, nodes, repeat(None))):
+        for i, node in enumerate(nodes):
+            # A leaf node is an empty dict, so test hits against None, not truth.
+            if node is None:
+                continue
             while end <= i:
                 end = next(bounds)[1]
-            node = nodes[i]
             j = i + 1
             while j < end:
                 child = node.get(words[j])
@@ -264,9 +264,9 @@ def _with_slots(
 def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
     """The pattern of a stripped phrase line: the words of ``normalize`` of
     the line without a final ``<PP>``, exactly as in requirement text. A line
-    of alphanumerics and spaces has the words of ``str.split``, any other line
-    those of the token regex. That is exact: ``[^\\W_]`` is the per-character
-    test of ``str.isalnum``, so the regex too cuts such a line at its spaces only."""
+    of alphanumerics and spaces takes the words of ``str.split``, which is
+    exact because ``[^\\W_]`` is the per-character test of ``str.isalnum``;
+    every other line is cut by ``scan`` itself."""
     slot = False
     # Only a line with a "<" can hold the marker; only those need the field checks.
     if "<" in line and PARTICIPLE_MARKER in line.upper():
@@ -282,15 +282,17 @@ def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
     text = normalize(line[:-4] if slot else line)  # the marker is the last four characters
     if text.replace(" ", "").isalnum():
         return PhrasePattern(tuple(text.split()), slot)
-    tokens = tuple(_TOKEN_RE.findall(text))
-    if not tokens:
+    # The marker stays in, so it counts for the sentences: it scans as a final word.
+    words, sentences, _ = scan(normalize(line))
+    if slot:
+        words.pop()
+    if not words:
         raise MalformedFileError("empty phrase", lineno)
     # Matches never cross a sentence boundary, so a phrase that scan cuts
-    # into two sentences (slot included) could never match. Only a line
-    # whose normalized text holds a terminator can be cut: U+037E becomes ";".
-    if ("." in text or ";" in text or "!" in text or "?" in text) and len(scan(normalize(line))[1]) > 1:
+    # into two sentences (slot included) could never match.
+    if len(sentences) > 1:
         raise MalformedFileError(f"phrase {line!r} spans a sentence boundary and can never match", lineno)
-    return PhrasePattern(tokens, slot)
+    return PhrasePattern(tuple(words), slot)
 
 
 def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:

@@ -6,8 +6,6 @@ All expected failure modes derive from :class:`ReqsmellError` so the CLI
 can catch one base class and turn it into a diagnostic plus exit code 1.
 """
 
-from __future__ import annotations
-
 import os
 from typing import Callable, TypeVar
 

@@ -14,7 +14,7 @@ import math
 import os
 import unicodedata
 from functools import partial
-from operator import ge, gt, itemgetter
+from operator import ge, gt
 from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import __version__
@@ -65,7 +65,7 @@ def parse_threshold_rules(lines: Iterable[str]) -> tuple[ThresholdRule, ...]:
             raise MalformedFileError(f"expected 'METRIC OP LIMIT', got {line!r}", lineno)
         metric, comparator, raw_limit = fields
         try:
-            limit = float(raw_limit)
+            limit = float(raw_limit) + 0.0  # -0 loads as 0.0
         except ValueError:
             raise MalformedFileError(f"invalid limit {raw_limit!r}", lineno) from None
         try:
@@ -305,10 +305,6 @@ _SPAN_HEAD = (
 
 _SPAN_TAIL = '%s,\n          "end": %s\n        }'
 
-_metric_phrase = itemgetter(0, 1)
-_positions = itemgetter(2, 3)
-
-
 class _Memo(dict):
     """``make(key)`` for each key, made on first use and then looked up."""
 
@@ -334,15 +330,10 @@ def _requirement_json(
     entry: RequirementEntry, encode: Callable[[str], str], span_heads: _Memo, span_tails: _Memo
 ) -> str:
     vector = entry.vector
-    spans = vector.spans
     return _REQUIREMENT_JSON % (
         encode(entry.id),
         *vector.values,
-        _array_json(map(
-            str.__add__,
-            map(span_heads.__getitem__, map(_metric_phrase, spans)),
-            map(span_tails.__getitem__, map(_positions, spans)),
-        )),
+        _array_json([span_heads[metric, phrase] + span_tails[start, end] for metric, phrase, start, end in vector.spans]),
         _array_json(["        " + encode(flag) for flag in entry.flags]),
         _WARNINGS[vector.degenerate],
     )

@@ -470,6 +470,14 @@ class TestStreaming:
         assert target.read_bytes() == b"previous report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "report.json"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_failed_write_to_a_device_names_it(self, corpus, capsys, fmt):
+        assert run(["--input", str(corpus), "--format", fmt, "--output", "/dev/full"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 28] No space left on device: '/dev/full'\n"
+
     def test_json_output_peaks_below_the_written_file(self, tmp_path):
         corpus = _keyword_dense_corpus(tmp_path / "corpus.csv", 2000)
         target = tmp_path / "report.json"

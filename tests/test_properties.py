@@ -483,6 +483,37 @@ class TestLoaderTokenization:
         # Enough drawn lines must take each path of the loader, and be refused.
         assert min(seen.values()) >= 20, seen
 
+    def test_loaded_tokens_are_those_of_scan(self):
+        seen = {"loaded": 0, "slot": 0, "refused": 0}
+
+        # One phrase per file, so a file that loads is that phrase's verdict.
+        @settings(max_examples=200, deadline=None)
+        @given(
+            # A blank line is no phrase line at all.
+            st.text(alphabet=list("abZ -'\u2019.;!?,/\u00e9\u0301\u00df\u00b0_9"), max_size=12).filter(str.strip),
+            st.booleans(),
+        )
+        def check(text, slot):
+            marker = " <PP>" if slot else ""
+            path.write_text(f"[V]\n{text}{marker}\n", encoding="utf-8")
+            words, sentences, _ = scan(normalize(text + marker))
+            try:
+                loaded = load_dictionary_file(path)["V"].patterns
+            except MalformedFileError as exc:
+                assert len(sentences) > 1 or words == (["pp"] if slot else []), repr(text)
+                assert ("sentence boundary" if len(sentences) > 1 else "empty phrase") in str(exc)
+                seen["refused"] += 1
+                return
+            assert len(sentences) == 1, repr(text)
+            assert loaded == {PhrasePattern(tuple(scan(normalize(text))[0]), slot)}, repr(text)
+            seen["loaded"] += 1
+            seen["slot"] += slot
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dict.txt"
+            check()
+        assert min(seen.values()) >= 20, seen
+
 
 # Inputs for the command line: CSV bytes from a few header shapes and a body
 # of delimiters, quotes, line breaks, a NUL, non-ASCII and an invalid UTF-8

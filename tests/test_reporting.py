@@ -119,6 +119,12 @@ class TestParseThresholdRules:
             parse_threshold_rules([line])
         assert info.value.line == 1
 
+    def test_negative_zero_limit_loads_as_zero(self):
+        (rule,) = parse_threshold_rules(["V >= -0"])
+        assert str(rule.limit) == "0.0"
+        report = build_report(CORPUS, CONFIG, [rule])
+        assert b'"limit": 0.0' in render(report, "json")
+
     def test_duplicate_metric_rejected(self):
         with pytest.raises(MalformedFileError) as info:
             parse_threshold_rules(["V >= 1", "V > 3"])
