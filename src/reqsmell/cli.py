@@ -68,35 +68,32 @@ def _destination(output: str | None) -> Iterator[BinaryIO]:
     target = output and os.path.realpath(output)
     if os.path.isdir(target):
         raise ReqsmellError(f"--output {output} is a directory")
-    if not target or (os.path.exists(target) and not os.path.isfile(target)):
-        # A FIFO or a device is written into, not replaced; a failed write names it.
-        try:
+    # Any failure of a file destination names the path as given, never the temp file.
+    try:
+        if not target or (os.path.exists(target) and not os.path.isfile(target)):
+            # A FIFO or a device is written into, not replaced.
             with open(output, "wb") as handle:
                 yield handle
-        except OSError as exc:
-            raise exc if exc.filename is not None else OSError(exc.errno, exc.strerror, output) from None
-        return
-    # Write via a temp file and rename, so a failed run never leaves a
-    # partial report and an existing file survives untouched on error.
-    # tempfile is imported here because only this path needs it.
-    import tempfile
-
-    try:
+            return
+        # Write via a temp file and rename, so a failed run never leaves a
+        # partial report and an existing file survives untouched on error.
+        # tempfile is imported here because only this path needs it.
+        import tempfile
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".reqsmell-")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                yield handle
+            # mkstemp creates the file 0600; give the report the mode a plain
+            # open() would, 0666 less the umask.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp_path, 0o666 & ~umask)
+            os.replace(tmp_path, target)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, output) from None
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            yield handle
-        # mkstemp creates the file 0600; give the report the mode a plain
-        # open() would, 0666 less the umask.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)
-        os.replace(tmp_path, target)
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
 
 
 def run(argv: Sequence[str] | None = None) -> int:

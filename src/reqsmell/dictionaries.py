@@ -200,10 +200,8 @@ class PhraseMatcher:
             text = " ".join(tokens)
             if slot:
                 node.slots += ((depth, index, metric, text + " "),)
-            elif node.winners:
-                node.winners = ((index, depth, metric, text), *[w for w in node.winners if w[0] != index])
             else:
-                node.winners = ((index, depth, metric, text),)
+                node.winners = ((index, depth, metric, text), *[w for w in node.winners if w[0] != index])
 
     def find_matches(
         self, words: Sequence[str], sentences: Iterable[tuple[int, int]], spans: bool = True
@@ -279,7 +277,7 @@ def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
                 f"{PARTICIPLE_MARKER} is only allowed at the end of a phrase, as its own word",
                 lineno,
             )
-    text = normalize(line[:-4] if slot else line)  # the marker is the last four characters
+    text = normalize(line[: -len(PARTICIPLE_MARKER)] if slot else line)
     if text.replace(" ", "").isalnum():
         return PhrasePattern(tuple(text.split()), slot)
     # The marker stays in, so it counts for the sentences: it scans as a final word.

@@ -24,8 +24,6 @@ from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 
 TOOL_NAME = "reqsmell"
 
-REPORT_FORMATS = ("json", "csv", "table")
-
 # What each comparator tests, as ``comparison(value, limit)``.
 _COMPARISONS = {">": gt, ">=": ge}
 
@@ -180,15 +178,10 @@ def build_report(
         vector = analyze(requirement.text, config)
         if vector.spans:
             vector = MetricVector(vector.values, vector.degenerate, tuple(map(share, vector.spans, vector.spans)))
-        flags: tuple[str, ...] = ()
-        if compiled:
-            flags = tuple(
-                metric
-                for index, violated, limit, metric in compiled
-                if violated(vector.values[index], limit)
-            )
-            flags = share(flags, flags)
-        entries.append(RequirementEntry(requirement.id, vector, flags))
+        flags = tuple(
+            metric for index, violated, limit, metric in compiled if violated(vector.values[index], limit)
+        )
+        entries.append(RequirementEntry(requirement.id, vector, share(flags, flags)))
     return AnalysisReport(config, rules, column_mapping, timestamp, tuple(entries), _summarize(entries), spans)
 
 
@@ -196,14 +189,9 @@ def write_report(report: AnalysisReport, fmt: str, stream: BinaryIO) -> None:
     """Write the report in the requested format into the binary ``stream``
     as UTF-8, piece by piece as it is rendered, so the rendered report is
     never held whole. The stream is neither flushed nor closed."""
-    if fmt == "json":
-        _write_json(report, stream)
-    elif fmt == "csv":
-        _write_csv(report, stream)
-    elif fmt == "table":
-        _write_table(report, stream)
-    else:
+    if fmt not in _WRITERS:
         raise ValueError(f"unknown report format {fmt!r}")
+    _WRITERS[fmt](report, stream)
 
 
 def render(report: AnalysisReport, fmt: str) -> bytes:
@@ -406,3 +394,8 @@ def _write_table(report: AnalysisReport, stream: BinaryIO) -> None:
     for metric in ALL_METRICS:
         stat = summary.metrics[metric]
         write(f"{metric:<6}{stat.minimum:>8.2f}{stat.mean:>8.2f}{stat.maximum:>8.2f}\n".encode())
+
+
+# The writer of each report format; --format offers them in this order.
+_WRITERS = {"json": _write_json, "csv": _write_csv, "table": _write_table}
+REPORT_FORMATS = tuple(_WRITERS)

@@ -465,10 +465,26 @@ class TestStreaming:
         monkeypatch.setattr(reporting, "_requirement_json", full_disk_after_the_first)
         code = run(["--input", str(corpus), "--format", "json", "--output", str(target)])
         assert code == EXIT_ERROR
-        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: '{target}'\n"
         assert len(written) == 1
         assert target.read_bytes() == b"previous report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "report.json"]
+
+    def test_failed_rename_names_the_output_not_the_temp_file(self, corpus, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "report.csv"
+        target.write_bytes(b"previous report\n")
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link", src, dst)
+
+        monkeypatch.setattr(os, "replace", cross_device)
+        code = run(["--input", str(corpus), "--format", "csv", "--output", str(target)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.EXDEV}] Invalid cross-device link: '{target}'\n"
+        assert ".reqsmell-" not in err
+        assert target.read_bytes() == b"previous report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "report.csv"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize("fmt", REPORT_FORMATS)

@@ -15,6 +15,7 @@ from reqsmell.errors import MalformedFileError
 from reqsmell.ingestion import ColumnMapping, Requirement, load_requirements
 from reqsmell.metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 from reqsmell.reporting import (
+    REPORT_FORMATS,
     RequirementEntry,
     ThresholdRule,
     build_report,
@@ -617,7 +618,8 @@ class TestRenderDispatch:
         # write_report into a file, which is what the CLI does, writes the
         # bytes render returns, and leaves the stream open.
         report = make_report(requirements=CORPUS + [Requirement("Ä4", "may ä €", 5)])
-        for fmt in ("json", "csv", "table"):
+        assert REPORT_FORMATS == ("json", "csv", "table")
+        for fmt in REPORT_FORMATS:
             path = tmp_path / f"report.{fmt}"
             with open(path, "wb") as handle:
                 write_report(report, fmt, handle)
