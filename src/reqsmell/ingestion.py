@@ -6,7 +6,6 @@ quoting applies, so delimiters and newlines inside quoted fields are fine.
 Rows are numbered by record: the header is record 1.
 """
 
-import csv
 import io
 import os
 import re
@@ -71,6 +70,7 @@ def load_requirements(path: str | os.PathLike[str], mapping: ColumnMapping) -> l
     as a field over ``csv.field_size_limit()``); OS-level failures propagate
     as ``OSError``. A file with a header but no data rows returns ``[]``.
     """
+    import csv  # imported here: only file input needs it
     with open(path, "rb") as handle:
         data = handle.read()
     reason = None  # why the file is not UTF-8, if it is not

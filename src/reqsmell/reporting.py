@@ -8,11 +8,9 @@ reported and flags only appear when the user supplies rules.
 """
 
 import codecs
-import csv
 import io
 import math
 import os
-import unicodedata
 from functools import partial
 from operator import ge, gt
 from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -328,6 +326,7 @@ def _requirement_json(
 
 
 def _write_csv(report: AnalysisReport, stream: BinaryIO) -> None:
+    import csv  # imported here: only this format needs it
     # csv.writer writes each row with one call, which the codec writer
     # encodes and passes on; unlike a TextIOWrapper, it never closes the
     # stream it wraps.
@@ -356,6 +355,7 @@ def _columns(text: str) -> int:
     characters take two, combining marks none, every other character one."""
     if text.isascii():
         return len(text)
+    import unicodedata  # imported here: only non-ASCII ids need it
     return sum(
         0 if unicodedata.category(c) in ("Mn", "Me")
         else 2 if unicodedata.east_asian_width(c) in ("W", "F")

@@ -5,21 +5,27 @@ of them are pure and produce identical results for identical inputs.
 """
 
 import re
-import unicodedata
+from functools import cache
 from itertools import accumulate, chain
+
+# Compiles each pattern below on first use, as ASCII text without joiners
+# needs none of them; a later use is one C-level cache lookup. No class
+# holds "’": one with a character above U+00FF costs 128 KB of temporaries
+# to compile, which raised peak RSS when done mid-run.
+_regex = cache(re.compile)
 
 # A token is a maximal run of alphanumeric characters; apostrophes and
 # hyphens are kept when they sit between alphanumerics ("don't", "re-use").
 # [^\W_] is "word character minus underscore", i.e. Unicode alphanumeric.
-_TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*")
+_TOKEN = r"[^\W_]+(?:['-][^\W_]+|’[^\W_]+)*"
 
 # Characters outside ASCII, one match each, for the letter count.
-_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+_NON_ASCII = r"[^\x00-\x7f]"
 
 # Characters outside ASCII that are neither alphanumeric nor the joiner ’.
 # scan blanks them with one linear sub (not a loop over distinct characters)
 # on the str, before encoding, so a lone surrogate stays a separator.
-_BLANK_RE = re.compile(r"[^\x00-\x7f\w’]")
+_BLANK = r"[^\x00-\x7f\w](?<!’)"
 
 _ASCII_LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
@@ -39,7 +45,11 @@ def normalize(text: str) -> str:
     Idempotent, so dictionaries and requirement text normalized separately
     still compare equal token-by-token.
     """
-    return unicodedata.normalize("NFC", text.casefold())
+    text = text.casefold()
+    if text.isascii():  # NFC leaves ASCII unchanged
+        return text
+    import unicodedata  # imported here: only non-ASCII text needs it
+    return unicodedata.normalize("NFC", text)
 
 
 def scan(text: str) -> tuple[list[str], list[tuple[int, int]], int]:
@@ -60,8 +70,8 @@ def scan(text: str) -> tuple[list[str], list[tuple[int, int]], int]:
     """
     letters = 0
     if not text.isascii():
-        text = _BLANK_RE.sub(" ", text)
-        letters = sum(map(str.isalpha, _NON_ASCII_RE.findall(text)))
+        text = _regex(_BLANK).sub(" ", text)
+        letters = sum(map(str.isalpha, _regex(_NON_ASCII).findall(text)))
     raw = text.encode()
     # Bytes count the ASCII letters ten times faster than str.isalpha.
     letters += len(raw) - len(raw.translate(None, _ASCII_LETTERS))
@@ -75,5 +85,5 @@ def scan(text: str) -> tuple[list[str], list[tuple[int, int]], int]:
 def _words(segment: str) -> list[str]:
     """Words of one translated segment (see :data:`_SCAN_TABLE`)."""
     if "'" in segment or "-" in segment or "’" in segment:
-        return _TOKEN_RE.findall(segment)
+        return _regex(_TOKEN).findall(segment)
     return segment.split()

@@ -19,7 +19,7 @@ import reqsmell
 from reqsmell import __version__, cli, reporting
 from reqsmell.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, main, run
 from reqsmell.ingestion import ColumnMapping, load_requirements
-from reqsmell.metrics import AnalysisConfig
+from reqsmell.metrics import AnalysisConfig, analyze_text
 from reqsmell.reporting import REPORT_FORMATS, build_report, load_threshold_file, render
 
 DATA = Path(__file__).parent / "data"
@@ -565,8 +565,9 @@ class TestModuleInvocation:
         # dataclasses and the modules it imports cost more than the rest of
         # the package, and string annotations on a NamedTuple are compiled
         # through typing.ForwardRef. Only the import system may compile,
-        # and only the package's source files. datetime, json and tempfile
-        # are imported only by the runs that use them.
+        # and only the package's source files. csv, datetime, json,
+        # tempfile and unicodedata are imported only by the runs that use
+        # them.
         code = textwrap.dedent("""
             import builtins, sys
             compiled = []
@@ -588,6 +589,42 @@ class TestModuleInvocation:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n[]\n[]\n"
+
+    def test_ascii_analysis_loads_no_csv_unicodedata_or_text_pattern(self):
+        # A fresh process that analyses ASCII text without joiners needs
+        # neither csv nor unicodedata, nor any of the tokenizer's regexes
+        # (argparse's own gettext pattern aside). Non-ASCII text with a
+        # joiner then compiles them on first use and gives the vector of an
+        # in-process call.
+        code = textwrap.dedent("""
+            import re, sys
+            callers = []
+            real_compile = re.compile
+            def compile(pattern, *args, **kwargs):
+                callers.append(sys._getframe(1).f_code.co_filename)
+                return real_compile(pattern, *args, **kwargs)
+            re.compile = compile
+            import reqsmell.cli
+            from reqsmell import AnalysisConfig, analyze_text, builtin_dictionaries
+            config = AnalysisConfig.from_dictionaries(builtin_dictionaries())
+            analyze_text("The system shall respond within 2 seconds if possible.", config)
+            print(sorted({"csv", "unicodedata"} & set(sys.modules)))
+            print([name for name in callers if "reqsmell" in name])
+            vector = analyze_text(sys.argv[1], config)
+            print(any("reqsmell" in name for name in callers))
+            print(repr(tuple(vector)))
+        """)
+        text = "Die Größe – don't exceed 2.5 °C."
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, text],
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT, "PYTHONIOENCODING": "utf-8"},
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+        )
+        assert result.returncode == 0, result.stderr
+        expected = tuple(analyze_text(text, AnalysisConfig.default()))
+        assert result.stdout == f"[]\n[]\nTrue\n{expected!r}\n"
 
     def test_cyclic_garbage_does_not_grow_with_the_corpus(self, tmp_path):
         # A run may leave a small, fixed amount of cyclic garbage (from

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import tempfile
+import unicodedata
 from pathlib import Path
 
 from hypothesis import given, reject, settings
@@ -70,6 +71,10 @@ class TestTextCore:
     def test_normalize_is_idempotent(self, text):
         once = normalize(text)
         assert normalize(once) == once
+
+    @given(st.text())
+    def test_normalize_is_nfc_of_casefold(self, text):
+        assert normalize(text) == unicodedata.normalize("NFC", text.casefold())
 
     @given(st.text())
     def test_sentences_partition_tokens(self, text):

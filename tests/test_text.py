@@ -4,6 +4,10 @@ Per-token detail (letter counts, character offsets) exists only in the
 reference tokenizer of ``oracle.py``; those cases check it there.
 """
 
+import re
+import tracemalloc
+
+from reqsmell import text as text_module
 from reqsmell.text import normalize, scan
 
 from oracle import tokenize
@@ -38,6 +42,36 @@ class TestNormalize:
     def test_composes_nfc(self):
         # "é" precomposed vs "e" + combining acute normalize identically
         assert normalize("caf\u00e9") == normalize("cafe\u0301")
+
+    def test_casefold_that_ends_ascii_skips_nfc(self):
+        # normalize tests for ASCII after casefolding, so text that folds
+        # into ASCII (sharp s, Kelvin sign, ligature) takes the ASCII path.
+        cases = {"STRASSE": "strasse", "straße": "strasse", "\u212a": "k", "\ufb01": "fi"}
+        for text, folded in cases.items():
+            assert normalize(text) == folded
+            assert normalize(text).isascii()
+
+    def test_casefold_that_stays_non_ascii_is_composed(self):
+        # "İ" folds to "i" plus a combining dot, which has no composed form.
+        assert normalize("\u0130") == "i\u0307"
+        assert normalize("café") == "caf\u00e9"
+        assert normalize("CAFE\u0301") == "caf\u00e9"
+
+
+class TestPatterns:
+    def test_patterns_compile_without_a_large_table(self):
+        # re builds a 64 KB table for a character class holding a character
+        # above U+00FF. scan compiles its patterns on first use, in the
+        # middle of a run, where those temporaries raised peak RSS.
+        for pattern in (text_module._TOKEN, text_module._NON_ASCII, text_module._BLANK):
+            re.purge()
+            tracemalloc.start()
+            try:
+                re.compile(pattern)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32_000, pattern
 
 
 class TestTokenize:
