@@ -6,53 +6,37 @@ weakness, conjunction count, word count, readability), flags requirements
 against user-supplied thresholds, and renders deterministic reports.
 """
 
-__version__ = "0.1.0"  # set before the submodules are imported: reporting reads it
+__version__ = "0.1.0"  # reporting and cli read it
 
-from .dictionaries import (
-    DICTIONARY_METRICS,
-    Dictionary,
-    PhraseMatcher,
-    PhrasePattern,
-    builtin_dictionaries,
-    load_dictionary_file,
-)
-from .errors import CorpusError, MalformedFileError, ReqsmellError
-from .ingestion import ColumnMapping, Requirement, load_requirements
-from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
-from .reporting import (
-    AnalysisReport,
-    RequirementEntry,
-    ThresholdRule,
-    build_report,
-    load_threshold_file,
-    parse_threshold_rules,
-    render,
-)
-from .text import normalize
+# Each submodule and the public names it defines. A submodule loads on the
+# first use of one of its names or of its own name (PEP 562), so a caller
+# that only analyses text never loads ingestion or reporting.
+_EXPORTS = {
+    "dictionaries": ("DICTIONARY_METRICS", "Dictionary", "PhraseMatcher", "PhrasePattern",
+                     "builtin_dictionaries", "load_dictionary_file"),
+    "errors": ("CorpusError", "MalformedFileError", "ReqsmellError"),
+    "ingestion": ("ColumnMapping", "Requirement", "load_requirements"),
+    "metrics": ("ALL_METRICS", "AnalysisConfig", "MetricVector", "analyze_text"),
+    "reporting": ("AnalysisReport", "RequirementEntry", "ThresholdRule", "build_report",
+                  "load_threshold_file", "parse_threshold_rules", "render"),
+    "text": ("normalize",),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_ORIGIN)
 
-__all__ = [
-    "ALL_METRICS",
-    "AnalysisConfig",
-    "AnalysisReport",
-    "ColumnMapping",
-    "CorpusError",
-    "DICTIONARY_METRICS",
-    "Dictionary",
-    "MalformedFileError",
-    "MetricVector",
-    "PhraseMatcher",
-    "PhrasePattern",
-    "ReqsmellError",
-    "Requirement",
-    "RequirementEntry",
-    "ThresholdRule",
-    "analyze_text",
-    "build_report",
-    "builtin_dictionaries",
-    "load_dictionary_file",
-    "load_requirements",
-    "load_threshold_file",
-    "normalize",
-    "parse_threshold_rules",
-    "render",
-]
+
+def __getattr__(name):
+    module = name if name in _EXPORTS else _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Importing a submodule binds it in these globals; binding the name too
+    # makes every later access a plain attribute hit. __import__, not
+    # `from . import`: that would call this function again first.
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_ORIGIN})

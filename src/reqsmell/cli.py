@@ -50,8 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _destination(output: str | None) -> Iterator[BinaryIO]:
-    """The report's binary stream, opened before the analysis: a bad --output fails first."""
+def _destination(output: str | None, sources: Sequence[tuple[str, str | None]]) -> Iterator[BinaryIO]:
+    """The report's binary stream, opened before the analysis: a bad --output fails first.
+
+    ``sources`` are the (flag, path) pairs of the files the run read.
+    """
     if output is None:
         try:
             yield sys.stdout.buffer
@@ -68,6 +71,12 @@ def _destination(output: str | None) -> Iterator[BinaryIO]:
     target = output and os.path.realpath(output)
     if os.path.isdir(target):
         raise ReqsmellError(f"--output {output} is a directory")
+    # A file the run read is never replaced, whatever link names it. Only a
+    # regular file is replaced: a FIFO or a device is written into, and a
+    # terminal's /dev/stdin and /dev/stdout are one device.
+    for flag, path in sources:
+        if path is not None and os.path.isfile(target) and os.path.samefile(path, target):
+            raise ReqsmellError(f"--output {output} is the same file as {flag}")
     # Any failure of a file destination names the path as given, never the temp file.
     try:
         if not target or (os.path.exists(target) and not os.path.isfile(target)):
@@ -124,7 +133,8 @@ def run(argv: Sequence[str] | None = None) -> int:
             from datetime import datetime, timezone  # imported here: only this flag needs it
 
             timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        with _destination(args.output) as stream:
+        sources = [("--input", args.input), ("--dictionaries", args.dictionaries), ("--thresholds", args.thresholds)]
+        with _destination(args.output, sources) as stream:
             report = build_report(
                 requirements,
                 config=AnalysisConfig.from_dictionaries(dictionaries),

@@ -355,6 +355,41 @@ class TestErrorPaths:
         assert run(["--input", str(corpus), "--output", str(directory)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: --output {tmp_path / 'out'}\\ndir is a directory\n"
 
+    @pytest.mark.parametrize("link", ["same path", "symlink", "hard link"])
+    def test_output_that_is_the_input_is_refused(self, corpus, tmp_path, monkeypatch, capsys, link):
+        def analysis(*args, **kwargs):
+            raise AssertionError("build_report was called")
+
+        monkeypatch.setattr(cli, "build_report", analysis)
+        before = corpus.read_bytes()
+        output = corpus if link == "same path" else tmp_path / "report.csv"
+        if link == "symlink":
+            output.symlink_to(corpus.name)
+        elif link == "hard link":
+            os.link(corpus, output)
+        assert run(["--input", str(corpus), "--format", "csv", "--output", str(output)]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: --output {output} is the same file as --input\n")
+        assert corpus.read_bytes() == before
+        assert not output.is_symlink() or os.readlink(output) == corpus.name
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".reqsmell-")]
+
+    @pytest.mark.parametrize("flag", ["--dictionaries", "--thresholds"])
+    def test_output_that_is_a_rule_file_is_refused(self, corpus, tmp_path, capsys, flag):
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(b"[V]\nmay\n" if flag == "--dictionaries" else b"V >= 1\n")
+        before = rules.read_bytes()
+        assert run(["--input", str(corpus), flag, str(rules), "--output", str(rules)]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: --output {rules} is the same file as {flag}\n")
+        assert rules.read_bytes() == before
+
+    def test_output_with_the_contents_of_the_input_is_written(self, corpus, tmp_path, capsys):
+        # Only the same file is refused, not a copy of it.
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(corpus.read_bytes())
+        assert run(["--input", str(corpus), "--format", "csv", "--output", str(copy)]) == EXIT_OK
+        assert copy.read_text(encoding="utf-8").startswith("id,V,")
+        assert capsys.readouterr() == ("", "")
+
     def test_a_bad_output_fails_before_the_analysis(self, corpus, tmp_path, monkeypatch, capsys):
         def analysis(*args, **kwargs):
             raise AssertionError("build_report was called")
@@ -625,6 +660,74 @@ class TestModuleInvocation:
         assert result.returncode == 0, result.stderr
         expected = tuple(analyze_text(text, AnalysisConfig.default()))
         assert result.stdout == f"[]\n[]\nTrue\n{expected!r}\n"
+
+    def test_text_analysis_loads_neither_ingestion_nor_reporting(self):
+        # The package loads a submodule on the first use of one of its
+        # names, so a caller that only analyses text never loads the two
+        # modules that read files and write reports.
+        code = textwrap.dedent("""
+            import sys
+            import reqsmell
+            config = reqsmell.AnalysisConfig.from_dictionaries(reqsmell.builtin_dictionaries())
+            reqsmell.analyze_text("The system may fail based on some conditions.", config)
+            print(sorted({"reqsmell.ingestion", "reqsmell.reporting"} & set(sys.modules)))
+            from reqsmell import build_report
+            print(build_report is sys.modules["reqsmell.reporting"].build_report)
+        """)
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\nTrue\n"
+
+    def test_bare_import_binds_the_submodules(self):
+        code = textwrap.dedent("""
+            import reqsmell
+            for name in ("dictionaries", "errors", "ingestion", "metrics", "reporting", "text"):
+                print(getattr(reqsmell, name).__name__)
+            print(reqsmell.reporting.write_report.__module__)
+        """)
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        modules = ["dictionaries", "errors", "ingestion", "metrics", "reporting", "text"]
+        assert result.stdout.split() == [f"reqsmell.{name}" for name in modules] + ["reqsmell.reporting"]
+
+    def test_every_public_name_is_its_submodules_object(self):
+        origin = {
+            "dictionaries": ["DICTIONARY_METRICS", "Dictionary", "PhraseMatcher", "PhrasePattern",
+                             "builtin_dictionaries", "load_dictionary_file"],
+            "errors": ["CorpusError", "MalformedFileError", "ReqsmellError"],
+            "ingestion": ["ColumnMapping", "Requirement", "load_requirements"],
+            "metrics": ["ALL_METRICS", "AnalysisConfig", "MetricVector", "analyze_text"],
+            "reporting": ["AnalysisReport", "RequirementEntry", "ThresholdRule", "build_report",
+                          "load_threshold_file", "parse_threshold_rules", "render"],
+            "text": ["normalize"],
+        }
+        assert sorted(name for names in origin.values() for name in names) == reqsmell.__all__
+        for module, names in origin.items():
+            for name in names:
+                assert getattr(reqsmell, name) is getattr(sys.modules[f"reqsmell.{module}"], name), name
+            assert getattr(reqsmell, module) is sys.modules[f"reqsmell.{module}"]
+
+    def test_dir_lists_every_public_name(self):
+        assert set(reqsmell.__all__) <= set(dir(reqsmell))
+        assert {"__version__", "reporting", "text"} <= set(dir(reqsmell))
+
+    @pytest.mark.parametrize("name", ["no_such_name", "scan"])
+    def test_an_unknown_name_is_an_attribute_error(self, name):
+        # scan is defined by the text submodule but is not public.
+        with pytest.raises(AttributeError, match=f"^module 'reqsmell' has no attribute '{name}'$"):
+            getattr(reqsmell, name)
+        with pytest.raises(ImportError):
+            exec(f"from reqsmell import {name}", {})
 
     def test_cyclic_garbage_does_not_grow_with_the_corpus(self, tmp_path):
         # A run may leave a small, fixed amount of cyclic garbage (from
