@@ -10,7 +10,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import BinaryIO, Iterator, Sequence
+from stat import S_ISDIR, S_ISREG
 
 from . import __version__
 from .dictionaries import builtin_dictionaries, load_dictionary_file
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _destination(output: str | None, sources: Sequence[tuple[str, str | None]]) -> Iterator[BinaryIO]:
+def _destination(output: str | None, sources: list[tuple[str, str | None]]):
     """The report's binary stream, opened before the analysis: a bad --output fails first.
 
     ``sources`` are the (flag, path) pairs of the files the run read.
@@ -66,28 +66,32 @@ def _destination(output: str | None, sources: Sequence[tuple[str, str | None]]) 
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise
         return
-    # A symlink stays, and its target gets the report. "" stays "", not the
-    # working directory, and fails to open below.
-    target = output and os.path.realpath(output)
-    if os.path.isdir(target):
-        raise ReqsmellError(f"--output {output} is a directory")
-    # A file the run read is never replaced, whatever link names it. Only a
-    # regular file is replaced: a FIFO or a device is written into, and a
-    # terminal's /dev/stdin and /dev/stdout are one device.
-    for flag, path in sources:
-        if path is not None and os.path.isfile(target) and os.path.samefile(path, target):
-            raise ReqsmellError(f"--output {output} is the same file as {flag}")
     # Any failure of a file destination names the path as given, never the temp file.
     try:
-        if not target or (os.path.exists(target) and not os.path.isfile(target)):
-            # A FIFO or a device is written into, not replaced.
-            with open(output, "wb") as handle:
-                yield handle
-            return
+        # One stat of the path as given, following links: a link's target is
+        # checked, and /dev/stdout is the pipe, terminal or file stdout is.
+        try:
+            status = os.stat(output)
+        except FileNotFoundError:
+            if not output:  # "" is no path, not the working directory
+                raise
+            status = None  # created below, as is a dangling link's target
+        if status is not None:
+            if S_ISDIR(status.st_mode):
+                raise ReqsmellError(f"--output {output} is a directory")
+            if not S_ISREG(status.st_mode):  # a FIFO or a device is written into, not replaced
+                with open(output, "wb") as handle:
+                    yield handle
+                return
+            # A file the run read is never replaced, whatever link names it.
+            for flag, path in sources:
+                if path is not None and os.path.samestat(status, os.stat(path)):
+                    raise ReqsmellError(f"--output {output} is the same file as {flag}")
         # Write via a temp file and rename, so a failed run never leaves a
         # partial report and an existing file survives untouched on error.
-        # tempfile is imported here because only this path needs it.
-        import tempfile
+        # A symlink stays, and its target gets the report.
+        import tempfile  # imported here: only this path needs it
+        target = os.path.realpath(output)
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".reqsmell-")
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -105,7 +109,7 @@ def _destination(output: str | None, sources: Sequence[tuple[str, str | None]]) 
         raise OSError(exc.errno, exc.strerror, output) from None
 
 
-def run(argv: Sequence[str] | None = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,8 +13,8 @@ literal pattern beats a participle-slot pattern of the same length.
 """
 
 import os
+from collections import namedtuple
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedFileError, ValidatedTuple, parse_file
 from .text import normalize, scan
@@ -98,20 +98,17 @@ def is_participle(word: str) -> bool:
     return word.endswith(("ed", "en")) or word in IRREGULAR_PARTICIPLES
 
 
-class _PhrasePatternFields(NamedTuple):
-    tokens: tuple[str, ...]
-    participle_slot: bool = False
-
-
-class PhrasePattern(ValidatedTuple, _PhrasePatternFields):
-    """One dictionary entry: literal tokens, optionally ending in a
-    past-participle slot that matches exactly one additional token."""
+class PhrasePattern(ValidatedTuple, namedtuple("PhrasePattern", "tokens participle_slot", defaults=(False,))):
+    """One dictionary entry: literal tokens (a tuple of str), optionally
+    ending in a past-participle slot that matches exactly one additional
+    token."""
 
     __slots__ = ()
 
-    def _validate(self) -> None:
-        if not self.tokens or "" in self.tokens:
+    def __new__(cls, tokens, participle_slot=False):
+        if not tokens or "" in tokens:
             raise ValueError("pattern tokens must be non-empty")
+        return tuple.__new__(cls, (tokens, participle_slot))
 
     @property
     def phrase(self) -> str:
@@ -119,27 +116,23 @@ class PhrasePattern(ValidatedTuple, _PhrasePatternFields):
         return " ".join(self.tokens) + suffix
 
 
-class _DictionaryFields(NamedTuple):
-    metric_id: str
-    patterns: frozenset[PhrasePattern]
-    origin: str = BUILTIN
-
-
-class Dictionary(ValidatedTuple, _DictionaryFields):
-    """A named metric's pattern set and where it came from."""
+class Dictionary(ValidatedTuple, namedtuple("Dictionary", "metric_id patterns origin", defaults=(BUILTIN,))):
+    """A named metric's pattern set (a frozenset of :class:`PhrasePattern`)
+    and where it came from."""
 
     __slots__ = ()
 
-    def _validate(self) -> None:
-        if self.metric_id not in DICTIONARY_METRICS:
-            raise ValueError(f"unknown metric id {self.metric_id!r}")
-        if not self.patterns:
-            raise ValueError(f"dictionary {self.metric_id} has no patterns")
-        if len({p.tokens for p in self.patterns}) != len(self.patterns):
-            raise ValueError(f"dictionary {self.metric_id} has duplicate token lists")
+    def __new__(cls, metric_id, patterns, origin=BUILTIN):
+        if metric_id not in DICTIONARY_METRICS:
+            raise ValueError(f"unknown metric id {metric_id!r}")
+        if not patterns:
+            raise ValueError(f"dictionary {metric_id} has no patterns")
+        if len({p.tokens for p in patterns}) != len(patterns):
+            raise ValueError(f"dictionary {metric_id} has duplicate token lists")
+        return tuple.__new__(cls, (metric_id, patterns, origin))
 
 
-def _builtin(metric_id: str, phrases: Iterable[str]) -> Dictionary:
+def _builtin(metric_id: str, phrases) -> Dictionary:
     patterns = frozenset(_parse_phrase_line(p, n) for n, p in enumerate(phrases, start=1))
     return Dictionary(metric_id, patterns, origin=BUILTIN)
 
@@ -175,7 +168,7 @@ class PhraseMatcher:
     participle-slot match the phrase includes the concrete participle token.
     """
 
-    def __init__(self, dictionaries: Mapping[str, Dictionary]):
+    def __init__(self, dictionaries: dict[str, Dictionary]):
         self._root = root = _TrieNode()
         root.winners = ()
         root.slots = ()
@@ -204,7 +197,7 @@ class PhraseMatcher:
                 node.winners = ((index, depth, metric, text), *[w for w in node.winners if w[0] != index])
 
     def find_matches(
-        self, words: Sequence[str], sentences: Iterable[tuple[int, int]], spans: bool = True
+        self, words: list[str], sentences: list[tuple[int, int]], spans: bool = True
     ) -> list[list[tuple[str, str, int, int]]] | list[int]:
         """Matches in ``words`` cut into ``sentences``, half-open ranges of
         word indices that partition ``words`` in order. With ``spans``
@@ -243,10 +236,10 @@ class PhraseMatcher:
 def _with_slots(
     winners: tuple[tuple[int, int, str, str], ...],
     slots: tuple[tuple[int, int, str, str], ...],
-    words: Sequence[str],
+    words: list[str],
     i: int,
     end: int,
-) -> Iterable[tuple[int, int, str, str]]:
+):
     """``winners`` updated with the slot patterns whose participle is
     present; a slot beats a literal only when longer."""
     best = {entry[0]: entry for entry in winners}

@@ -7,9 +7,6 @@ can catch one base class and turn it into a diagnostic plus exit code 1.
 """
 
 import os
-from typing import Callable, TypeVar
-
-_T = TypeVar("_T")
 
 
 class ReqsmellError(Exception):
@@ -25,7 +22,7 @@ class MalformedFileError(ReqsmellError):
         self.line = line
 
 
-def parse_file(path: str | os.PathLike[str], parse: Callable[[list[str]], _T]) -> _T:
+def parse_file(path: str | os.PathLike[str], parse):
     """``parse`` applied to the lines of the UTF-8 file at ``path``. The
     error for a file that is not UTF-8, and any ``MalformedFileError`` that
     ``parse`` raises, start with ``path``.
@@ -51,7 +48,7 @@ class CorpusError(ReqsmellError):
 
 
 class ValidatedTuple:
-    """Mixin for a ``NamedTuple`` subclass whose ``_validate`` raises
+    """Mixin for a ``namedtuple`` subclass whose ``__new__`` raises
     ``ValueError`` on invalid fields.
 
     Validation runs on every construction path: the constructor and
@@ -61,13 +58,6 @@ class ValidatedTuple:
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._validate()
-        return self
-
     @classmethod
     def _make(cls, iterable):
-        self = super()._make(iterable)
-        self._validate()
-        return self
+        return cls(*iterable)

@@ -8,8 +8,7 @@ Rows are numbered by record: the header is record 1.
 
 import io
 import os
-import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import CorpusError, ValidatedTuple
 
@@ -19,34 +18,27 @@ from .errors import CorpusError, ValidatedTuple
 _RESERVED_DELIMITERS = ('"', "\r", "\n")
 
 
-class _ColumnMappingFields(NamedTuple):
-    id_column: str = "ID"
-    text_column: str = "Text"
-    delimiter: str = ","
-
-
-class ColumnMapping(ValidatedTuple, _ColumnMappingFields):
+class ColumnMapping(ValidatedTuple, namedtuple("ColumnMapping", "id_column text_column delimiter",
+                                                defaults=("ID", "Text", ","))):
     """Which columns hold the requirement id and text, and the delimiter."""
 
     __slots__ = ()
 
-    def _validate(self) -> None:
-        if self.id_column == self.text_column:
+    def __new__(cls, id_column="ID", text_column="Text", delimiter=","):
+        if id_column == text_column:
             raise ValueError("id column and text column must differ")
-        if len(self.delimiter) != 1:
-            raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
-        if self.delimiter in _RESERVED_DELIMITERS:
-            raise ValueError(
-                f"delimiter {self.delimiter!r} is not allowed: it is the quote character or a line break"
-            )
+        if len(delimiter) != 1:
+            raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
+        if delimiter in _RESERVED_DELIMITERS:
+            raise ValueError(f"delimiter {delimiter!r} is not allowed: it is the quote character or a line break")
+        return tuple.__new__(cls, (id_column, text_column, delimiter))
 
 
-class Requirement(NamedTuple):
-    """One requirement as read from the input file."""
+class Requirement(namedtuple("Requirement", "id text row")):
+    """One requirement as read from the input file: its id, its text and
+    its record number."""
 
-    id: str
-    text: str
-    row: int
+    __slots__ = ()
 
 
 def _column_index(header: list[str], name: str) -> int:
@@ -78,6 +70,7 @@ def load_requirements(path: str | os.PathLike[str], mapping: ColumnMapping) -> l
         data.decode("utf-8")  # only checked: the parser decodes as it reads
     except UnicodeDecodeError as exc:
         reason = exc.reason
+        import re  # imported here: only a file that is not UTF-8 needs it
     # BytesIO shares data and the wrapper decodes it chunk by chunk, so no
     # text of the whole file outlives the check. Each invalid byte becomes a
     # lone surrogate, which valid UTF-8 never decodes to. The BOM is skipped

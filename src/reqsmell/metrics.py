@@ -11,8 +11,8 @@ ARI here is average words per sentence plus nine times average letters per
 word; empty text yields a degenerate all-zero vector instead of an error.
 """
 
+from collections import namedtuple
 from itertools import chain
-from typing import Mapping, NamedTuple
 
 from .dictionaries import DICTIONARY_METRICS, Dictionary, PhraseMatcher, builtin_dictionaries
 from .text import normalize, scan
@@ -23,14 +23,13 @@ ALL_METRICS = DICTIONARY_METRICS + ("NW", "ARI")
 _METRIC_INDEX = {metric: index for index, metric in enumerate(ALL_METRICS)}
 
 
-class MetricVector(NamedTuple):
-    """The nine metric values for one requirement, in report order, plus match
-    evidence: one ``(metric, phrase, start, end)`` tuple per dictionary hit,
-    with a half-open word range, or ``()`` when analysed without spans."""
+class MetricVector(namedtuple("MetricVector", "values degenerate spans")):
+    """The nine metric values for one requirement, in report order; whether
+    it has no words; and match evidence: one ``(metric, phrase, start, end)``
+    tuple per dictionary hit, with a half-open word range, or ``()`` when
+    analysed without spans."""
 
-    values: tuple[float, ...]
-    degenerate: bool
-    spans: tuple[tuple[str, str, int, int], ...]
+    __slots__ = ()
 
     @property
     def counts(self) -> dict[str, int]:
@@ -46,15 +45,14 @@ class MetricVector(NamedTuple):
         return dict(zip(ALL_METRICS, self.values))
 
 
-class AnalysisConfig(NamedTuple):
-    """Immutable bundle of the seven dictionaries, in report order, and
-    their merged matcher."""
+class AnalysisConfig(namedtuple("AnalysisConfig", "dictionaries matcher")):
+    """Immutable bundle of the seven dictionaries, a dict from metric id to
+    :class:`Dictionary` in report order, and their merged :class:`PhraseMatcher`."""
 
-    dictionaries: Mapping[str, Dictionary]
-    matcher: PhraseMatcher
+    __slots__ = ()
 
     @classmethod
-    def from_dictionaries(cls, dictionaries: Mapping[str, Dictionary]) -> "AnalysisConfig":
+    def from_dictionaries(cls, dictionaries: dict[str, Dictionary]) -> "AnalysisConfig":
         missing = [m for m in DICTIONARY_METRICS if m not in dictionaries]
         if missing:
             raise ValueError(f"missing dictionaries for metrics: {', '.join(missing)}")

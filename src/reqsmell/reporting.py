@@ -11,9 +11,9 @@ import codecs
 import io
 import math
 import os
+from collections import namedtuple
 from functools import partial
 from operator import ge, gt
-from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .errors import MalformedFileError, ValidatedTuple, parse_file
@@ -26,30 +26,25 @@ TOOL_NAME = "reqsmell"
 _COMPARISONS = {">": gt, ">=": ge}
 
 
-class _ThresholdRuleFields(NamedTuple):
-    metric_id: str
-    comparator: str
-    limit: float
-
-
-class ThresholdRule(ValidatedTuple, _ThresholdRuleFields):
+class ThresholdRule(ValidatedTuple, namedtuple("ThresholdRule", "metric_id comparator limit")):
     """Flag a requirement when ``metric value OP limit`` holds."""
 
     __slots__ = ()
 
-    def _validate(self) -> None:
-        if self.metric_id not in ALL_METRICS:
-            raise ValueError(f"unknown metric {self.metric_id!r}")
-        if self.comparator not in _COMPARISONS:
-            raise ValueError(f"unknown comparator {self.comparator!r}")
-        if isinstance(self.limit, bool) or not isinstance(self.limit, (int, float)) or not math.isfinite(self.limit):
+    def __new__(cls, metric_id, comparator, limit):
+        if metric_id not in ALL_METRICS:
+            raise ValueError(f"unknown metric {metric_id!r}")
+        if comparator not in _COMPARISONS:
+            raise ValueError(f"unknown comparator {comparator!r}")
+        if isinstance(limit, bool) or not isinstance(limit, (int, float)) or not math.isfinite(limit):
             # NaN never fires, infinity is never reached, and a bool renders as true/false.
-            raise ValueError(f"limit must be a finite number, got {self.limit!r}")
-        if self.limit < 0:
+            raise ValueError(f"limit must be a finite number, got {limit!r}")
+        if limit < 0:
             raise ValueError("limit must be non-negative")
+        return tuple.__new__(cls, (metric_id, comparator, limit))
 
 
-def parse_threshold_rules(lines: Iterable[str]) -> tuple[ThresholdRule, ...]:
+def parse_threshold_rules(lines) -> tuple[ThresholdRule, ...]:
     """Parse ``METRIC OP LIMIT`` lines; ``#`` starts a comment."""
     rules: dict[str, ThresholdRule] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -78,9 +73,7 @@ def load_threshold_file(path: str | os.PathLike[str]) -> tuple[ThresholdRule, ..
     return parse_file(path, parse_threshold_rules)
 
 
-def _compile_rules(
-    rules: Sequence[ThresholdRule],
-) -> tuple[tuple[int, Callable[[float, float], bool], float, str], ...]:
+def _compile_rules(rules: tuple[ThresholdRule, ...]) -> tuple[tuple, ...]:
     """``(value index, comparison, limit, metric id)`` per rule, in report
     order; two rules for one metric are a ``ValueError``."""
     by_metric: dict[str, ThresholdRule] = {}
@@ -95,40 +88,30 @@ def _compile_rules(
     )
 
 
-class RequirementEntry(NamedTuple):
-    """Per-requirement results: metric vector and flags."""
+class RequirementEntry(namedtuple("RequirementEntry", "id vector flags")):
+    """Per-requirement results: id, :class:`MetricVector` and the tuple of
+    flagged metric ids."""
 
-    id: str
-    vector: MetricVector
-    flags: tuple[str, ...]
-
-
-class MetricSummary(NamedTuple):
-    minimum: float
-    mean: float
-    maximum: float
+    __slots__ = ()
 
 
-class ReportSummary(NamedTuple):
-    requirement_count: int
-    flagged_count: int
-    degenerate_count: int
-    metrics: Mapping[str, MetricSummary]
+MetricSummary = namedtuple("MetricSummary", "minimum mean maximum")
+
+# metrics: a dict from metric id to its MetricSummary, in report order.
+ReportSummary = namedtuple("ReportSummary", "requirement_count flagged_count degenerate_count metrics")
 
 
-class AnalysisReport(NamedTuple):
-    """A corpus analysis: what shaped it, then its results in corpus order."""
+class AnalysisReport(namedtuple(
+    "AnalysisReport", "config rules column_mapping timestamp entries summary with_spans", defaults=(True,)
+)):
+    """A corpus analysis: what shaped it (config, rules, column mapping or
+    None, timestamp or None), then its results in corpus order (entries,
+    summary). ``with_spans`` is false when its vectors hold no match spans."""
 
-    config: AnalysisConfig
-    rules: tuple[ThresholdRule, ...]
-    column_mapping: ColumnMapping | None
-    timestamp: str | None
-    entries: tuple[RequirementEntry, ...]
-    summary: ReportSummary
-    with_spans: bool = True  # false when its vectors hold no match spans
+    __slots__ = ()
 
 
-def _summarize(entries: Sequence[RequirementEntry]) -> ReportSummary:
+def _summarize(entries: list[RequirementEntry]) -> ReportSummary:
     """Aggregate per-metric min/mean/max, skipping degenerate entries.
 
     Degenerate (token-free) requirements are excluded from the metric
@@ -155,9 +138,9 @@ def _summarize(entries: Sequence[RequirementEntry]) -> ReportSummary:
 
 
 def build_report(
-    requirements: Sequence[Requirement],
+    requirements: list[Requirement],
     config: AnalysisConfig,
-    rules: Iterable[ThresholdRule] = (),
+    rules=(),
     column_mapping: ColumnMapping | None = None,
     timestamp: str | None = None,
     spans: bool = True,
@@ -183,7 +166,7 @@ def build_report(
     return AnalysisReport(config, rules, column_mapping, timestamp, tuple(entries), _summarize(entries), spans)
 
 
-def write_report(report: AnalysisReport, fmt: str, stream: BinaryIO) -> None:
+def write_report(report: AnalysisReport, fmt: str, stream) -> None:
     """Write the report in the requested format into the binary ``stream``
     as UTF-8, piece by piece as it is rendered, so the rendered report is
     never held whole. The stream is neither flushed nor closed."""
@@ -218,7 +201,7 @@ def _config_payload(report: AnalysisReport) -> dict:
     return payload
 
 
-def _write_json(report: AnalysisReport, stream: BinaryIO) -> None:
+def _write_json(report: AnalysisReport, stream) -> None:
     """Write the report as ``json.dumps(payload, indent=2,
     ensure_ascii=False)`` plus a newline would, byte for byte. The payload's
     "tool" and "version" are the package's, and a requirement's "warnings"
@@ -294,7 +277,7 @@ _SPAN_TAIL = '%s,\n          "end": %s\n        }'
 class _Memo(dict):
     """``make(key)`` for each key, made on first use and then looked up."""
 
-    def __init__(self, make: Callable):
+    def __init__(self, make):
         self.make = make
 
     def __missing__(self, key):
@@ -302,7 +285,7 @@ class _Memo(dict):
         return value
 
 
-def _array_json(items: Iterable[str]) -> str:
+def _array_json(items: list[str]) -> str:
     """A JSON array in a requirement field, from already encoded items."""
     body = ",\n".join(items)
     return "[\n" + body + "\n      ]" if body else "[]"
@@ -312,9 +295,7 @@ def _array_json(items: Iterable[str]) -> str:
 _WARNINGS = ("[]", _array_json(['        "requirement text contains no words"']))
 
 
-def _requirement_json(
-    entry: RequirementEntry, encode: Callable[[str], str], span_heads: _Memo, span_tails: _Memo
-) -> str:
+def _requirement_json(entry: RequirementEntry, encode, span_heads: _Memo, span_tails: _Memo) -> str:
     vector = entry.vector
     return _REQUIREMENT_JSON % (
         encode(entry.id),
@@ -325,7 +306,7 @@ def _requirement_json(
     )
 
 
-def _write_csv(report: AnalysisReport, stream: BinaryIO) -> None:
+def _write_csv(report: AnalysisReport, stream) -> None:
     import csv  # imported here: only this format needs it
     # csv.writer writes each row with one call, which the codec writer
     # encodes and passes on; unlike a TextIOWrapper, it never closes the
@@ -364,7 +345,7 @@ def _columns(text: str) -> int:
     )
 
 
-def _write_table(report: AnalysisReport, stream: BinaryIO) -> None:
+def _write_table(report: AnalysisReport, stream) -> None:
     headers = ["id", *ALL_METRICS, "flags"]
     rows = [
         [printable(entry.id), *map(_table_cell, entry.vector.values), ";".join(entry.flags)]

@@ -4,15 +4,20 @@ Every metric in the package consumes the output of these functions, so all
 of them are pure and produce identical results for identical inputs.
 """
 
-import re
 from functools import cache
 from itertools import accumulate, chain
 
-# Compiles each pattern below on first use, as ASCII text without joiners
-# needs none of them; a later use is one C-level cache lookup. No class
-# holds "’": one with a character above U+00FF costs 128 KB of temporaries
-# to compile, which raised peak RSS when done mid-run.
-_regex = cache(re.compile)
+
+@cache
+def _regex(pattern: str):
+    """``pattern`` compiled on first use, as ASCII text without joiners
+    needs none of the patterns below, nor ``re`` itself; a later use is one
+    C-level cache lookup. No class holds "’": one with a character above
+    U+00FF costs 128 KB of temporaries to compile, which raised peak RSS
+    when done mid-run."""
+    import re
+    return re.compile(pattern)
+
 
 # A token is a maximal run of alphanumeric characters; apostrophes and
 # hyphens are kept when they sit between alphanumerics ("don't", "re-use").

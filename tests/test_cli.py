@@ -547,6 +547,20 @@ class TestStreaming:
         # rendered whole before it is written would double it.
         assert peak < size
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_output_dev_stdout_writes_into_the_pipe(self, corpus, tmp_path):
+        # /dev/stdout is a link to the pipe that stdout is, whose own name
+        # is no path: the report goes into the pipe, not a file beside it.
+        plain = tmp_path / "plain.csv"
+        assert run(["--input", str(corpus), "--format", "csv", "--output", str(plain)]) == EXIT_OK
+        result = subprocess.run(
+            [sys.executable, "-m", "reqsmell", "--input", str(corpus), "--format", "csv", "--output", "/dev/stdout"],
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+            capture_output=True,
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+        assert result.stdout == plain.read_bytes()
+
     def test_reader_closing_stdout_early_is_one_error_line(self, tmp_path):
         corpus = _keyword_dense_corpus(tmp_path / "corpus.csv", 200)
         process = subprocess.Popen(
@@ -598,11 +612,12 @@ class TestModuleInvocation:
 
     def test_import_creates_classes_without_compiling(self):
         # dataclasses and the modules it imports cost more than the rest of
-        # the package, and string annotations on a NamedTuple are compiled
-        # through typing.ForwardRef. Only the import system may compile,
-        # and only the package's source files. csv, datetime, json,
-        # tempfile and unicodedata are imported only by the runs that use
-        # them.
+        # the package, and a string annotation of a typing.NamedTuple field
+        # is compiled into a typing.ForwardRef; the value types are
+        # collections.namedtuple classes, which need neither. Only the
+        # import system may compile, and only the package's source files.
+        # csv, datetime, json, tempfile and unicodedata are imported only
+        # by the runs that use them.
         code = textwrap.dedent("""
             import builtins, sys
             compiled = []
@@ -660,6 +675,36 @@ class TestModuleInvocation:
         assert result.returncode == 0, result.stderr
         expected = tuple(analyze_text(text, AnalysisConfig.default()))
         assert result.stdout == f"[]\n[]\nTrue\n{expected!r}\n"
+
+    def test_clean_interpreter_analysis_loads_neither_typing_nor_re(self):
+        # Without site, a fresh interpreter has loaded neither module, and
+        # together they cost more than the package and its built-in config.
+        # ASCII text compiles no pattern, so it needs no re; text that does
+        # loads re on first use and gives the vector of an in-process call.
+        # The CLI needs re through argparse, but never typing.
+        code = textwrap.dedent("""
+            import sys
+            from reqsmell import AnalysisConfig, analyze_text, builtin_dictionaries
+            config = AnalysisConfig.from_dictionaries(builtin_dictionaries())
+            analyze_text("The system shall respond within 2 seconds if possible.", config)
+            print(sorted({"re", "typing"} & set(sys.modules)))
+            vector = analyze_text(sys.argv[1], config)
+            print(sorted({"re", "typing"} & set(sys.modules)))
+            print(repr(tuple(vector)))
+            import reqsmell.cli
+            print(sorted({"re", "typing"} & set(sys.modules)))
+        """)
+        text = "Die Größe – don't exceed 2.5 °C."
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, text],
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT, "PYTHONIOENCODING": "utf-8"},
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+        )
+        assert result.returncode == 0, result.stderr
+        expected = tuple(analyze_text(text, AnalysisConfig.default()))
+        assert result.stdout == f"[]\n['re']\n{expected!r}\n['re']\n"
 
     def test_text_analysis_loads_neither_ingestion_nor_reporting(self):
         # The package loads a submodule on the first use of one of its

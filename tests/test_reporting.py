@@ -1,8 +1,10 @@
 """Unit tests for thresholds, summaries, and the three report renderers."""
 
+import copy
 import csv
 import io
 import json
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -10,12 +12,15 @@ from pathlib import Path
 import pytest
 
 from reqsmell import __version__, reporting
-from reqsmell.dictionaries import BUILTIN, DICTIONARY_METRICS
+from reqsmell.dictionaries import BUILTIN, DICTIONARY_METRICS, Dictionary, PhrasePattern
 from reqsmell.errors import MalformedFileError
 from reqsmell.ingestion import ColumnMapping, Requirement, load_requirements
 from reqsmell.metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 from reqsmell.reporting import (
     REPORT_FORMATS,
+    AnalysisReport,
+    MetricSummary,
+    ReportSummary,
     RequirementEntry,
     ThresholdRule,
     build_report,
@@ -633,3 +638,70 @@ class TestRenderDispatch:
         with pytest.raises(ValueError):
             write_report(make_report(), "xml", stream)
         assert stream.getvalue() == b""
+
+
+_PATTERN = PhrasePattern(("should", "have"), True)
+_DICTIONARY = Dictionary("O", frozenset({PhrasePattern(("can",))}), "user-file")
+_VECTOR = MetricVector((1, 0, 0, 0, 0, 0, 0, 3, 4.5), False, (("V", "may", 0, 1),))
+_RULE = ThresholdRule("NW", ">", 40.0)
+_ENTRY = RequirementEntry("R1", _VECTOR, ("V",))
+_STAT = MetricSummary(0, 1.5, 3)
+_SUMMARY = ReportSummary(1, 1, 0, {"NW": _STAT})
+_STUB_CONFIG = AnalysisConfig({"O": _DICTIONARY}, None)
+
+# Each value type with one value of it, its field names, its defaults and
+# its repr. A field of AnalysisConfig or AnalysisReport holds a small stand-in
+# here: the types do not check their fields.
+VALUE_TYPES = [
+    (_PATTERN, ("tokens", "participle_slot"), {"participle_slot": False},
+     "PhrasePattern(tokens=('should', 'have'), participle_slot=True)"),
+    (_DICTIONARY, ("metric_id", "patterns", "origin"), {"origin": "builtin"},
+     "Dictionary(metric_id='O', patterns=frozenset({PhrasePattern(tokens=('can',), participle_slot=False)}), "
+     "origin='user-file')"),
+    (ColumnMapping(), ("id_column", "text_column", "delimiter"),
+     {"id_column": "ID", "text_column": "Text", "delimiter": ","},
+     "ColumnMapping(id_column='ID', text_column='Text', delimiter=',')"),
+    (_RULE, ("metric_id", "comparator", "limit"), {},
+     "ThresholdRule(metric_id='NW', comparator='>', limit=40.0)"),
+    (Requirement("R1", "It runs.", 2), ("id", "text", "row"), {},
+     "Requirement(id='R1', text='It runs.', row=2)"),
+    (_VECTOR, ("values", "degenerate", "spans"), {},
+     "MetricVector(values=(1, 0, 0, 0, 0, 0, 0, 3, 4.5), degenerate=False, spans=(('V', 'may', 0, 1),))"),
+    (_STUB_CONFIG, ("dictionaries", "matcher"), {},
+     f"AnalysisConfig(dictionaries={{'O': {_DICTIONARY!r}}}, matcher=None)"),
+    (_ENTRY, ("id", "vector", "flags"), {},
+     f"RequirementEntry(id='R1', vector={_VECTOR!r}, flags=('V',))"),
+    (_STAT, ("minimum", "mean", "maximum"), {}, "MetricSummary(minimum=0, mean=1.5, maximum=3)"),
+    (_SUMMARY, ("requirement_count", "flagged_count", "degenerate_count", "metrics"), {},
+     "ReportSummary(requirement_count=1, flagged_count=1, degenerate_count=0, "
+     "metrics={'NW': MetricSummary(minimum=0, mean=1.5, maximum=3)})"),
+    (AnalysisReport(_STUB_CONFIG, (_RULE,), None, None, (_ENTRY,), _SUMMARY),
+     ("config", "rules", "column_mapping", "timestamp", "entries", "summary", "with_spans"),
+     {"with_spans": True},
+     f"AnalysisReport(config={_STUB_CONFIG!r}, rules=({_RULE!r},), column_mapping=None, timestamp=None, "
+     f"entries=({_ENTRY!r},), summary={_SUMMARY!r}, with_spans=True)"),
+]
+
+
+class TestValueTypes:
+    """The tuple contract of every value type the package builds."""
+
+    @pytest.mark.parametrize("value, fields, defaults, text", VALUE_TYPES)
+    def test_fields_defaults_and_repr(self, value, fields, defaults, text):
+        assert isinstance(value, tuple)
+        assert type(value)._fields == fields
+        assert type(value)._field_defaults == defaults
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value", [case[0] for case in VALUE_TYPES])
+    def test_no_attribute_can_be_set(self, value):
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], value[0])
+        with pytest.raises(AttributeError):
+            value.note = "new attribute"
+
+    @pytest.mark.parametrize("value", [case[0] for case in VALUE_TYPES])
+    def test_pickle_and_copy_round_trip(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+            assert type(twin) is type(value)
+            assert twin == value
