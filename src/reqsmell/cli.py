@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fail-on-flagged", action="store_true",
                         help="exit with code 2 when any requirement is flagged")
     parser.add_argument("--timestamp", action="store_true",
-                        help="include a generation timestamp in the report (off by default for stable diffs)")
+                        help="json only: include a generation timestamp in the report (off by default for stable diffs)")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
 
@@ -87,6 +87,13 @@ def _destination(output: str | None, sources: list[tuple[str, str | None]]):
             for flag, path in sources:
                 if path is not None and os.path.samestat(status, os.stat(path)):
                     raise ReqsmellError(f"--output {output} is the same file as {flag}")
+            opened = None
+            with contextlib.suppress(AttributeError, ValueError, OSError):  # stdout is None, closed or no file
+                opened = os.fstat(sys.stdout.fileno())
+            if opened and os.path.samestat(status, opened):  # as in --output /dev/stdout >> log
+                with _destination(None, sources) as stream:  # stdout keeps the shell's append mode
+                    yield stream
+                return
         # Write via a temp file and rename, so a failed run never leaves a
         # partial report and an existing file survives untouched on error.
         # A symlink stays, and its target gets the report.

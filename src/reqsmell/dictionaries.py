@@ -297,19 +297,18 @@ def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
     sections = parse_file(path, _parse_sections)
     # Only the metrics the file leaves out need their built-in list.
     return {
-        metric: Dictionary(metric, frozenset(sections[metric]), origin=USER_FILE)
+        metric: Dictionary(metric, frozenset(sections[metric].values()), origin=USER_FILE)
         if metric in sections
         else _builtin(metric, _BUILTIN_PHRASES[metric])
         for metric in DICTIONARY_METRICS
     }
 
 
-def _parse_sections(lines: list[str]) -> dict[str, list[PhrasePattern]]:
-    """The phrases of each ``[METRIC]`` section of a dictionary file."""
-    sections: dict[str, list[PhrasePattern]] = {}
+def _parse_sections(lines: list[str]) -> dict[str, dict[tuple[str, ...], PhrasePattern]]:
+    """The phrases of each ``[METRIC]`` section, keyed by their tokens."""
+    sections: dict[str, dict[tuple[str, ...], PhrasePattern]] = {}
     current: str | None = None
     current_header_line = 0
-    seen_tokens: set[tuple[str, ...]] = set()
 
     def close_section() -> None:
         if current is not None and not sections[current]:
@@ -326,16 +325,14 @@ def _parse_sections(lines: list[str]) -> dict[str, list[PhrasePattern]]:
                 raise MalformedFileError(f"unknown metric {metric!r}", lineno)
             if metric in sections:
                 raise MalformedFileError(f"duplicate section [{metric}]", lineno)
-            sections[metric] = []
+            sections[metric] = {}
             current, current_header_line = metric, lineno
-            seen_tokens = set()
             continue
         if current is None:
             raise MalformedFileError("phrase appears before any [METRIC] section", lineno)
         pattern = _parse_phrase_line(line, lineno)
-        if pattern.tokens in seen_tokens:
+        if pattern.tokens in sections[current]:
             raise MalformedFileError(f"duplicate phrase {pattern.phrase!r}", lineno)
-        seen_tokens.add(pattern.tokens)
-        sections[current].append(pattern)
+        sections[current][pattern.tokens] = pattern
     close_section()
     return sections

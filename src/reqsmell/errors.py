@@ -1,6 +1,6 @@
 """Exception types shared across the package, the reader of the
-dictionary and threshold files, and the mixin that makes value types
-reject invalid fields.
+dictionary and threshold files, the mixin that makes value types reject
+invalid fields, and the memo class that the scanner and the JSON writer use.
 
 All expected failure modes derive from :class:`ReqsmellError` so the CLI
 can catch one base class and turn it into a diagnostic plus exit code 1.
@@ -61,3 +61,14 @@ class ValidatedTuple:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+class _Memo(dict):
+    """``make(key)`` for each key, made on first use and then looked up."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value

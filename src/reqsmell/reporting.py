@@ -12,11 +12,10 @@ import io
 import math
 import os
 from collections import namedtuple
-from functools import partial
 from operator import ge, gt
 
 from . import __version__
-from .errors import MalformedFileError, ValidatedTuple, parse_file
+from .errors import MalformedFileError, ValidatedTuple, _Memo, parse_file
 from .ingestion import ColumnMapping, Requirement
 from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 
@@ -150,13 +149,12 @@ def build_report(
     Entries share one tuple per distinct span and per distinct flag set."""
     rules = tuple(rules)  # read twice below, so an iterator is consumed once, here
     compiled = _compile_rules(rules)
-    analyze = analyze_text if spans else partial(analyze_text, spans=False)
     # Most spans and flag sets repeat across rows; keeping the first of each
     # lets the copies die now instead of living until the report is written.
     share = {}.setdefault
     entries: list[RequirementEntry] = []
     for requirement in requirements:
-        vector = analyze(requirement.text, config)
+        vector = analyze_text(requirement.text, config, spans)
         if vector.spans:
             vector = MetricVector(vector.values, vector.degenerate, tuple(map(share, vector.spans, vector.spans)))
         flags = tuple(
@@ -273,16 +271,6 @@ _SPAN_HEAD = (
 )
 
 _SPAN_TAIL = '%s,\n          "end": %s\n        }'
-
-class _Memo(dict):
-    """``make(key)`` for each key, made on first use and then looked up."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 def _array_json(items: list[str]) -> str:

@@ -4,40 +4,40 @@ Every metric in the package consumes the output of these functions, so all
 of them are pure and produce identical results for identical inputs.
 """
 
-from functools import cache
 from itertools import accumulate, chain
 
+from .errors import _Memo
 
-@cache
-def _regex(pattern: str):
-    """``pattern`` compiled on first use, as ASCII text without joiners
-    needs none of the patterns below, nor ``re`` itself; a later use is one
-    C-level cache lookup. No class holds "’": one with a character above
-    U+00FF costs 128 KB of temporaries to compile, which raised peak RSS
-    when done mid-run."""
-    import re
+
+def _compile(pattern: str):
+    import re  # imported here: ASCII text without joiners compiles no pattern
     return re.compile(pattern)
 
 
-# A token is a maximal run of alphanumeric characters; apostrophes and
-# hyphens are kept when they sit between alphanumerics ("don't", "re-use").
-# [^\W_] is "word character minus underscore", i.e. Unicode alphanumeric.
-_TOKEN = r"[^\W_]+(?:['-][^\W_]+|’[^\W_]+)*"
+# Each pattern below, compiled on first use; a later use is one C-level dict
+# lookup. No class holds "’": one with a character above U+00FF costs 128 KB
+# of temporaries to compile, which raised peak RSS when done mid-run.
+_regex = _Memo(_compile)
 
 # Characters outside ASCII, one match each, for the letter count.
 _NON_ASCII = r"[^\x00-\x7f]"
 
-# Characters outside ASCII that are neither alphanumeric nor the joiner ’.
-# scan blanks them with one linear sub (not a loop over distinct characters)
+# Characters outside ASCII that are not alphanumeric ([^\W_]), bar a "’"
+# between two alphanumerics ("can’t"). scan blanks them with one linear sub
 # on the str, before encoding, so a lone surrogate stays a separator.
-_BLANK = r"[^\x00-\x7f\w](?<!’)"
+_BLANK = r"[^\x00-\x7f\w](?:(?<!’)|(?<![^\W_]’)|(?![^\W_]))"
+
+# An ASCII joiner (' or -) that does not sit between two alphanumerics. It
+# starts with its class: one that starts with a lookaround or \B is tried
+# at every position, which doubled the scan of joiner-heavy text.
+_STRAY = r"['-](?:(?<![^\W_].)|(?![^\W_]))"
 
 _ASCII_LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 # For the UTF-8 of blanked text: terminators become ".", other ASCII bytes
 # that are neither alphanumeric nor a joiner (' and -) become spaces, and
 # bytes >= 0x80 stay, so it still decodes. Sentences are then the "."-cut
-# segments and, in a segment without joiners, words its whitespace runs.
+# segments, and words their whitespace runs once stray joiners are blanked.
 _SCAN_TABLE = "".join(
     "." if c in ".!?;" else c if c.isalnum() or c in "'-" or c > "\x7f" else " "
     for c in map(chr, range(256))
@@ -68,27 +68,22 @@ def scan(text: str) -> tuple[list[str], list[tuple[int, int]], int]:
     alphabetic characters only, so digits and joiners are excluded.
 
     One path for every text: one ``sub`` blanks the non-ASCII separators,
-    one ``bytes.translate`` maps the UTF-8, and two C-level splits cut it;
-    only a segment with a joiner needs the token regex, to keep "don't"
-    whole and drop a stray "-". Cutting at terminators first is exact as no
-    word holds one, and every alphabetic character lies inside some word.
+    one ``bytes.translate`` maps the UTF-8, one ``sub`` blanks the stray
+    ASCII joiners if there are any, and two C-level splits cut it. Cutting
+    at terminators is exact as no word holds one, and every alphabetic
+    character lies inside some word.
     """
     letters = 0
     if not text.isascii():
-        text = _regex(_BLANK).sub(" ", text)
-        letters = sum(map(str.isalpha, _regex(_NON_ASCII).findall(text)))
+        text = _regex[_BLANK].sub(" ", text)
+        letters = sum(map(str.isalpha, _regex[_NON_ASCII].findall(text)))
     raw = text.encode()
     # Bytes count the ASCII letters ten times faster than str.isalpha.
     letters += len(raw) - len(raw.translate(None, _ASCII_LETTERS))
     cut = raw.translate(_SCAN_TABLE).decode()
-    split = _words if "'" in cut or "-" in cut or "’" in cut else str.split
-    segments = list(filter(None, map(split, cut.split("."))))
+    if "'" in cut or "-" in cut:
+        cut = _regex[_STRAY].sub(" ", cut)
+    segments = list(filter(None, map(str.split, cut.split("."))))
     ends = list(accumulate(map(len, segments)))
     return list(chain.from_iterable(segments)), list(zip([0] + ends, ends)), letters
 
-
-def _words(segment: str) -> list[str]:
-    """Words of one translated segment (see :data:`_SCAN_TABLE`)."""
-    if "'" in segment or "-" in segment or "’" in segment:
-        return _regex(_TOKEN).findall(segment)
-    return segment.split()

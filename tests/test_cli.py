@@ -212,6 +212,15 @@ class TestHappyPaths:
         config = json.loads(capsys.readouterr().out)["config"]
         assert "timestamp" not in config
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_timestamp_flag_leaves_csv_and_table_unchanged(self, corpus, capsysbinary, fmt):
+        # Only the json report has a place for the timestamp.
+        reports = []
+        for flags in ([], ["--timestamp"]):
+            assert run(["--input", str(corpus), "--format", fmt, *flags]) == EXIT_OK
+            reports.append(capsysbinary.readouterr().out)
+        assert reports[0] == reports[1] != b""
+
 
 class TestExitCodes:
     def test_fail_on_flagged_with_hits(self, corpus, thresholds, capsys):
@@ -561,6 +570,39 @@ class TestStreaming:
         assert (result.returncode, result.stderr) == (EXIT_OK, b"")
         assert result.stdout == plain.read_bytes()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_output_dev_stdout_appends_to_the_file_stdout_has_open(self, corpus, tmp_path):
+        # As after a shell's ">> log": the report goes through stdout, whose
+        # append mode keeps what the file held, not over it through a rename.
+        plain = tmp_path / "plain.csv"
+        assert run(["--input", str(corpus), "--format", "csv", "--output", str(plain)]) == EXIT_OK
+        log = tmp_path / "log.txt"
+        log.write_bytes(b"old\n")
+        with open(log, "ab") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "reqsmell", "--input", str(corpus), "--format", "csv",
+                 "--output", "/dev/stdout"],
+                env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+            )
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+        assert log.read_bytes() == b"old\n" + plain.read_bytes()
+
+    @pytest.mark.parametrize("close", ["sys.stdout.close()", "sys.stdout = None", "os.close(1)"])
+    def test_output_file_is_written_without_a_usable_stdout(self, corpus, tmp_path, close):
+        plain = tmp_path / "plain.csv"
+        assert run(["--input", str(corpus), "--format", "csv", "--output", str(plain)]) == EXIT_OK
+        report = tmp_path / "report.csv"
+        code = f"import os, sys; {close}; from reqsmell.cli import run; sys.exit(run(sys.argv[1:]))"
+        result = subprocess.run(
+            [sys.executable, "-c", code, "--input", str(corpus), "--format", "csv", "--output", str(report)],
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+            stderr=subprocess.PIPE,
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+        assert report.read_bytes() == plain.read_bytes()
+
     def test_reader_closing_stdout_early_is_one_error_line(self, tmp_path):
         corpus = _keyword_dense_corpus(tmp_path / "corpus.csv", 200)
         process = subprocess.Popen(
@@ -677,22 +719,23 @@ class TestModuleInvocation:
         assert result.stdout == f"[]\n[]\nTrue\n{expected!r}\n"
 
     def test_clean_interpreter_analysis_loads_neither_typing_nor_re(self):
-        # Without site, a fresh interpreter has loaded neither module, and
-        # together they cost more than the package and its built-in config.
-        # ASCII text compiles no pattern, so it needs no re; text that does
-        # loads re on first use and gives the vector of an in-process call.
-        # The CLI needs re through argparse, but never typing.
+        # Without site, a fresh interpreter has loaded none of functools, re
+        # and typing, and together they cost more than the package and its
+        # built-in config. ASCII text compiles no pattern, so it needs none of
+        # them; text that does loads re (which imports functools) on first
+        # use and gives the vector of an in-process call. The CLI needs re
+        # through argparse, but never typing.
         code = textwrap.dedent("""
             import sys
             from reqsmell import AnalysisConfig, analyze_text, builtin_dictionaries
             config = AnalysisConfig.from_dictionaries(builtin_dictionaries())
             analyze_text("The system shall respond within 2 seconds if possible.", config)
-            print(sorted({"re", "typing"} & set(sys.modules)))
+            print(sorted({"functools", "re", "typing"} & set(sys.modules)))
             vector = analyze_text(sys.argv[1], config)
-            print(sorted({"re", "typing"} & set(sys.modules)))
+            print(sorted({"functools", "re", "typing"} & set(sys.modules)))
             print(repr(tuple(vector)))
             import reqsmell.cli
-            print(sorted({"re", "typing"} & set(sys.modules)))
+            print(sorted({"functools", "re", "typing"} & set(sys.modules)))
         """)
         text = "Die Größe – don't exceed 2.5 °C."
         result = subprocess.run(
@@ -704,7 +747,7 @@ class TestModuleInvocation:
         )
         assert result.returncode == 0, result.stderr
         expected = tuple(analyze_text(text, AnalysisConfig.default()))
-        assert result.stdout == f"[]\n['re']\n{expected!r}\n['re']\n"
+        assert result.stdout == f"[]\n['functools', 're']\n{expected!r}\n['functools', 're']\n"
 
     def test_text_analysis_loads_neither_ingestion_nor_reporting(self):
         # The package loads a submodule on the first use of one of its

@@ -223,6 +223,18 @@ class TestLoader:
             load_dictionary_file(path)
         assert info.value.line == 3
 
+    def test_a_phrase_repeats_only_within_its_own_section(self, tmp_path):
+        # Duplicates are per section: one phrase may serve several metrics,
+        # while a repeat inside one section fails at its own line.
+        path = tmp_path / "dict.txt"
+        path.write_text("[V]\nmay\n[O]\nmay\n", encoding="utf-8")
+        loaded = load_dictionary_file(path)
+        assert loaded["V"].patterns == loaded["O"].patterns == frozenset({PhrasePattern(("may",))})
+        path.write_text("[V]\nmay\n[O]\nmay\ncan\nmay\n", encoding="utf-8")
+        with pytest.raises(MalformedFileError) as info:
+            load_dictionary_file(path)
+        assert info.value.line == 6
+
     def test_duplicate_section_rejected(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("[O]\ncan\n[O]\nmay\n", encoding="utf-8")

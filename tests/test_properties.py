@@ -15,7 +15,7 @@ import tempfile
 import unicodedata
 from pathlib import Path
 
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from reqsmell.dictionaries import (
@@ -134,6 +134,15 @@ _ascii_heavy = st.builds(
 
 class TestSinglePassScan:
     @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(_EDGE_CHARACTERS))))
+    # A "’" joins only between two alphanumerics, next to a stray ASCII
+    # joiner, an underscore, another "’" or a combining mark too.
+    @example("a’-b")
+    @example("a-’b")
+    @example("’a’")
+    @example("a’’b")
+    @example("a’_b")
+    @example("x\u0301’b")
+    @example("can’t re-use")
     def test_scan_equals_tokenize_split_and_letter_sums(self, text):
         normalized = normalize(text)
         tokens = tokenize(normalized)

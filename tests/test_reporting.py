@@ -501,7 +501,7 @@ class TestValueColumns:
         assert vector.as_dict() == expected
         assert vector.counts == dict(zip(DICTIONARY_METRICS, self.VALUES))
 
-        monkeypatch.setattr(reporting, "analyze_text", lambda text, config: vector)
+        monkeypatch.setattr(reporting, "analyze_text", lambda text, config, spans: vector)
         # Each rule fires only on its own value or a larger one; any other
         # reading order puts a smaller value under some metric.
         rules = [ThresholdRule(metric, ">=", value) for metric, value in expected.items()]

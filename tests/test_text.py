@@ -63,7 +63,7 @@ class TestPatterns:
         # re builds a 64 KB table for a character class holding a character
         # above U+00FF. scan compiles its patterns on first use, in the
         # middle of a run, where those temporaries raised peak RSS.
-        for pattern in (text_module._TOKEN, text_module._NON_ASCII, text_module._BLANK):
+        for pattern in (text_module._STRAY, text_module._NON_ASCII, text_module._BLANK):
             re.purge()
             tracemalloc.start()
             try:
