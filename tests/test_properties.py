@@ -134,8 +134,8 @@ _ascii_heavy = st.builds(
 
 class TestSinglePassScan:
     @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(_EDGE_CHARACTERS))))
-    # A "’" joins only between two alphanumerics, next to a stray ASCII
-    # joiner, an underscore, another "’" or a combining mark too.
+    # A "’" next to a stray ASCII joiner, an underscore, another "’" or a
+    # combining mark: it joins only between two alphanumerics.
     @example("a’-b")
     @example("a-’b")
     @example("’a’")
