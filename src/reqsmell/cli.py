@@ -50,21 +50,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
+def _through(standard):
+    """The binary stream under the text stream ``standard``, flushed at the end."""
+    try:
+        yield standard.buffer
+        standard.buffer.flush()
+    except BrokenPipeError:
+        # The reader went away. Python flushes the stream again at exit,
+        # which would report the same error a second time; let that flush
+        # drop the rest of the report instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), standard.fileno())
+        raise
+
+
+@contextlib.contextmanager
 def _destination(output: str | None, sources: list[tuple[str, str | None]]):
     """The report's binary stream, opened before the analysis: a bad --output fails first.
 
     ``sources`` are the (flag, path) pairs of the files the run read.
     """
     if output is None:
-        try:
-            yield sys.stdout.buffer
-            sys.stdout.buffer.flush()
-        except BrokenPipeError:
-            # The reader went away. Python flushes stdout again at exit,
-            # which would report the same error a second time; let that
-            # flush drop the rest of the report instead.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise
+        with _through(sys.stdout) as stream:
+            yield stream
         return
     # Any failure of a file destination names the path as given, never the temp file.
     try:
@@ -87,13 +94,17 @@ def _destination(output: str | None, sources: list[tuple[str, str | None]]):
             for flag, path in sources:
                 if path is not None and os.path.samestat(status, os.stat(path)):
                     raise ReqsmellError(f"--output {output} is the same file as {flag}")
-            opened = None
-            with contextlib.suppress(AttributeError, ValueError, OSError):  # stdout is None, closed or no file
-                opened = os.fstat(sys.stdout.fileno())
-            if opened and os.path.samestat(status, opened):  # as in --output /dev/stdout >> log
-                with _destination(None, sources) as stream:  # stdout keeps the shell's append mode
-                    yield stream
-                return
+            # A standard stream open on the file, as in --output /dev/stdout
+            # >> log or --output /dev/stderr 2>> log, is written through, so
+            # it keeps the shell's append mode.
+            for standard in (sys.stdout, sys.stderr):
+                opened = None
+                with contextlib.suppress(AttributeError, ValueError, OSError):  # None, closed or no file
+                    opened = os.fstat(standard.fileno())
+                if opened and os.path.samestat(status, opened):
+                    with _through(standard) as stream:
+                        yield stream
+                    return
         # Write via a temp file and rename, so a failed run never leaves a
         # partial report and an existing file survives untouched on error.
         # A symlink stays, and its target gets the report.
@@ -145,9 +156,12 @@ def run(argv: list[str] | None = None) -> int:
 
             timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         sources = [("--input", args.input), ("--dictionaries", args.dictionaries), ("--thresholds", args.thresholds)]
+        # build_report takes each requirement off the list, in corpus order,
+        # as it reads it: each text dies once it is analysed, not with the list.
+        requirements.reverse()
         with _destination(args.output, sources) as stream:
             report = build_report(
-                requirements,
+                (requirements.pop() for _ in range(len(requirements))),
                 config=AnalysisConfig.from_dictionaries(dictionaries),
                 rules=rules,
                 column_mapping=mapping,

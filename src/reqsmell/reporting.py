@@ -16,7 +16,7 @@ from operator import ge, gt
 
 from . import __version__
 from .errors import MalformedFileError, ValidatedTuple, _Memo, parse_file
-from .ingestion import ColumnMapping, Requirement
+from .ingestion import ColumnMapping
 from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 
 TOOL_NAME = "reqsmell"
@@ -137,16 +137,18 @@ def _summarize(entries: list[RequirementEntry]) -> ReportSummary:
 
 
 def build_report(
-    requirements: list[Requirement],
+    requirements,
     config: AnalysisConfig,
     rules=(),
     column_mapping: ColumnMapping | None = None,
     timestamp: str | None = None,
     spans: bool = True,
 ) -> AnalysisReport:
-    """Analyze a corpus and assemble the full report, in corpus order. With
-    ``spans`` false no match span is built, and the report has no JSON form.
-    Entries share one tuple per distinct span and per distinct flag set."""
+    """Analyze a corpus and assemble the full report, in corpus order.
+    ``requirements`` is any iterable of :class:`Requirement`, read once; the
+    report keeps only their ids. With ``spans`` false no match span is
+    built, and the report has no JSON form. Entries share one tuple per
+    distinct span and per distinct flag set."""
     rules = tuple(rules)  # read twice below, so an iterator is consumed once, here
     compiled = _compile_rules(rules)
     # Most spans and flag sets repeat across rows; keeping the first of each

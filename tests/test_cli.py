@@ -589,6 +589,25 @@ class TestStreaming:
         assert (result.returncode, result.stderr) == (EXIT_OK, b"")
         assert log.read_bytes() == b"old\n" + plain.read_bytes()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stderr"), reason="needs /dev/stderr")
+    def test_output_dev_stderr_appends_to_the_file_stderr_has_open(self, corpus, tmp_path):
+        # As after a shell's "2>> log": the report goes through stderr, as
+        # it goes through stdout after ">> log".
+        plain = tmp_path / "plain.csv"
+        assert run(["--input", str(corpus), "--format", "csv", "--output", str(plain)]) == EXIT_OK
+        log = tmp_path / "log.txt"
+        log.write_bytes(b"old\n")
+        with open(log, "ab") as stderr:
+            result = subprocess.run(
+                [sys.executable, "-m", "reqsmell", "--input", str(corpus), "--format", "csv",
+                 "--output", "/dev/stderr"],
+                env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+            )
+        assert (result.returncode, result.stdout) == (EXIT_OK, b"")
+        assert log.read_bytes() == b"old\n" + plain.read_bytes()
+
     @pytest.mark.parametrize("close", ["sys.stdout.close()", "sys.stdout = None", "os.close(1)"])
     def test_output_file_is_written_without_a_usable_stdout(self, corpus, tmp_path, close):
         plain = tmp_path / "plain.csv"
@@ -619,6 +638,45 @@ class TestStreaming:
         process.stderr.close()
         assert process.wait(timeout=60) == EXIT_ERROR
         assert err == "error: [Errno 32] Broken pipe\n"
+
+
+class TestRunMemory:
+    """A CLI run frees each requirement once it is analysed."""
+
+    def test_texts_die_while_rows_are_analysed(self, tmp_path, monkeypatch):
+        text = (
+            "The operator console shall confirm each alarm {0} within ten seconds of its display "
+            "and the log shall keep the alarm with its source and its time of day."
+        )
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("ID,Text\n" + "".join(f"R{i},{text.format(i)}\n" for i in range(3000)), encoding="utf-8")
+        target = tmp_path / "report.csv"
+        sample = str(DATA / "sample_corpus.csv")
+        # The first run imports csv and tempfile.
+        assert run(["--input", sample, "--format", "csv", "--output", str(target)]) == EXIT_OK
+        real = cli.load_requirements
+        loaded = []
+
+        def load_then_reset_peak(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            requirements = real(*args)
+            after = tracemalloc.get_traced_memory()[0]
+            loaded.append((after, after - before))  # the heap now, and what the list holds
+            tracemalloc.reset_peak()
+            return requirements
+
+        monkeypatch.setattr(cli, "load_requirements", load_then_reset_peak)
+        tracemalloc.start()
+        try:
+            assert run(["--input", str(corpus), "--format", "csv", "--output", str(target)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [(after_load, requirements_size)] = loaded
+        assert requirements_size > 1_000_000
+        # The entries take about as much as the requirements; a run that kept
+        # every text alive until the report is built would hold both.
+        assert peak - after_load < requirements_size / 2
 
 
 class TestWarnings:
