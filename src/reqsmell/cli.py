@@ -70,6 +70,8 @@ def _destination(output: str | None, sources: list[tuple[str, str | None]]):
     ``sources`` are the (flag, path) pairs of the files the run read.
     """
     if output is None:
+        if sys.stdout is None or sys.stdout.closed:  # None when the run started with fd 1 closed
+            raise ReqsmellError("stdout is closed: name a report file with --output")
         with _through(sys.stdout) as stream:
             yield stream
         return

@@ -197,22 +197,22 @@ class PhraseMatcher:
                 node.winners = ((index, depth, metric, text), *[w for w in node.winners if w[0] != index])
 
     def find_matches(
-        self, words: list[str], sentences: list[tuple[int, int]], spans: bool = True
+        self, words: list[str], ends: list[int], spans: bool = True
     ) -> list[list[tuple[str, str, int, int]]] | list[int]:
-        """Matches in ``words`` cut into ``sentences``, half-open ranges of
-        word indices that partition ``words`` in order. With ``spans``
-        false, only the number of matches per metric, and no tuple is built."""
+        """Matches in ``words`` cut into sentences at ``ends``, each the index
+        one past a sentence's last word, rising to ``len(words)`` as ``scan``
+        gives them. With ``spans`` false, only the counts, and no tuple is built."""
         found: list = [[] for _ in range(self._metric_count)] if spans else [0] * self._metric_count
         resume = [0] * self._metric_count  # per metric, the first unconsumed index
         nodes = list(map(self._root.get, words))
-        bounds = iter(sentences)
+        bounds = iter(ends)
         end = 0
         for i, node in enumerate(nodes):
             # A leaf node is an empty dict, so test hits against None, not truth.
             if node is None:
                 continue
             while end <= i:
-                end = next(bounds)[1]
+                end = next(bounds)
             j = i + 1
             while j < end:
                 child = node.get(words[j])
@@ -274,14 +274,14 @@ def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
     if text.replace(" ", "").isalnum():
         return PhrasePattern(tuple(text.split()), slot)
     # The marker stays in, so it counts for the sentences: it scans as a final word.
-    words, sentences, _ = scan(normalize(line))
+    words, ends, _ = scan(normalize(line))
     if slot:
         words.pop()
     if not words:
         raise MalformedFileError("empty phrase", lineno)
     # Matches never cross a sentence boundary, so a phrase that scan cuts
     # into two sentences (slot included) could never match.
-    if len(sentences) > 1:
+    if len(ends) > 1:
         raise MalformedFileError(f"phrase {line!r} spans a sentence boundary and can never match", lineno)
     return PhrasePattern(tuple(words), slot)
 

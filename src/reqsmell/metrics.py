@@ -69,18 +69,18 @@ def analyze_text(text: str, config: AnalysisConfig, spans: bool = True) -> Metri
 
     Each sentence is scanned independently (greedy, longest match wins, matched
     tokens consumed), so a phrase never straddles a boundary; one matcher call
-    covers all sentences and all seven dictionaries. Span indices refer to the
-    full token sequence; spans are ordered by metric in report order, then by
-    position. With ``spans`` false the matcher only counts, and ``spans`` is ().
+    covers all seven dictionaries and every sentence, cut at the ``ends`` of
+    ``scan``. Spans index the whole word list, by metric in report order, then
+    by position. With ``spans`` false the matcher only counts; ``spans`` is ().
     """
-    words, sentences, letter_count = scan(normalize(text))
-    found = config.matcher.find_matches(words, sentences, spans)
+    words, ends, letter_count = scan(normalize(text))
+    found = config.matcher.find_matches(words, ends, spans)
     nw = len(words)
     return MetricVector(
         values=(
             *(map(len, found) if spans else found),
             nw,
-            (nw / len(sentences) + 9.0 * (letter_count / nw)) if nw else 0.0,
+            (nw / len(ends) + 9.0 * (letter_count / nw)) if nw else 0.0,
         ),
         degenerate=not nw,
         spans=tuple(chain.from_iterable(found)) if spans else (),

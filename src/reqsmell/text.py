@@ -57,15 +57,14 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-def scan(text: str) -> tuple[list[str], list[tuple[int, int]], int]:
-    """Words, sentences and letter total of normalized ``text`` in one pass.
+def scan(text: str) -> tuple[list[str], list[int], int]:
+    """Words, sentence ends and letter total of normalized ``text`` in one pass.
 
     Words are maximal alphanumeric runs; internal apostrophes and hyphens
-    stay inside the word ("don't", "re-use"). A sentence boundary follows
-    each run of '.', '!', '?' or ';', and each sentence is a half-open
-    ``(start, end)`` range of word indices; sentences partition the words
-    in order, and text without words has none. The letter total counts
-    alphabetic characters only, so digits and joiners are excluded.
+    stay inside the word ("don't", "re-use"). A sentence ends after each run
+    of '.', '!', '?' or ';', and its end is the index one past its last word:
+    the ends rise strictly to ``len(words)``, and text without words has none.
+    The letter total counts alphabetic characters only, not digits or joiners.
 
     One path for every text: one ``sub`` blanks the non-ASCII separators,
     one ``bytes.translate`` maps the UTF-8, one ``sub`` blanks the stray
@@ -84,6 +83,5 @@ def scan(text: str) -> tuple[list[str], list[tuple[int, int]], int]:
     if "'" in cut or "-" in cut:
         cut = _regex[_STRAY].sub(" ", cut)
     segments = list(filter(None, map(str.split, cut.split("."))))
-    ends = list(accumulate(map(len, segments)))
-    return list(chain.from_iterable(segments)), list(zip([0] + ends, ends)), letters
+    return list(chain.from_iterable(segments)), list(accumulate(map(len, segments))), letters
 

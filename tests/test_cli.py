@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import io
 import json
 import os
 import re
@@ -621,6 +622,28 @@ class TestStreaming:
         )
         assert (result.returncode, result.stderr) == (EXIT_OK, b"")
         assert report.read_bytes() == plain.read_bytes()
+
+    def test_run_started_with_stdout_closed_is_one_error_line(self, corpus):
+        # The shell closes fd 1 before the child starts, so Python sets sys.stdout to None.
+        result = subprocess.run(
+            ["sh", "-c", '"$0" -m reqsmell "$@" >&-', sys.executable, "--input", str(corpus), "--format", "csv"],
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+            stderr=subprocess.PIPE,
+        )
+        assert (result.returncode, result.stderr) == (
+            EXIT_ERROR, b"error: stdout is closed: name a report file with --output\n"
+        )
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["None", "closed stream"])
+    def test_closed_stdout_fails_before_the_analysis(self, corpus, capsys, monkeypatch, closed):
+        stdout = None
+        if closed:
+            stdout = io.TextIOWrapper(io.BytesIO())
+            stdout.close()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(cli, "build_report", lambda *args, **kwargs: pytest.fail("analysed"))
+        assert run(["--input", str(corpus), "--format", "csv"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: stdout is closed: name a report file with --output\n"
 
     def test_reader_closing_stdout_early_is_one_error_line(self, tmp_path):
         corpus = _keyword_dense_corpus(tmp_path / "corpus.csv", 200)

@@ -333,7 +333,7 @@ class TestMatcher:
 
     @staticmethod
     def _one_sentence(matcher, words):
-        return matcher.find_matches(words, [(0, len(words))])
+        return matcher.find_matches(words, [len(words)])
 
     def test_longest_match_wins(self):
         # expected span verified against the brute-force scan below
@@ -381,13 +381,13 @@ class TestMatcher:
     def test_slot_does_not_take_participle_from_next_sentence(self):
         matcher = self._matcher("should", slots=["should have"])
         words = ["should", "have", "tested"]
-        assert matcher.find_matches(words, [(0, 2), (2, 3)]) == [[("V", "should", 0, 1)]]
-        assert matcher.find_matches(words, [(0, 3)]) == [[("V", "should have tested", 0, 3)]]
+        assert matcher.find_matches(words, [2, 3]) == [[("V", "should", 0, 1)]]
+        assert matcher.find_matches(words, [3]) == [[("V", "should have tested", 0, 3)]]
 
     def test_literal_does_not_cross_sentence_break(self):
         matcher = self._matcher("see", "see reference")
         words = ["see", "reference", "see", "reference"]
-        assert matcher.find_matches(words, [(0, 1), (1, 3), (3, 4)]) == [[
+        assert matcher.find_matches(words, [1, 3, 4]) == [[
             ("V", "see", 0, 1),
             ("V", "see", 2, 3),
         ]]
@@ -396,7 +396,7 @@ class TestMatcher:
         dictionaries = builtin_dictionaries()
         matcher = PhraseMatcher({"O": dictionaries["O"], "V": dictionaries["V"]})
         words = ["may", "be", "able", "to"]
-        assert matcher.find_matches(words, [(0, 4)]) == [
+        assert matcher.find_matches(words, [4]) == [
             [("O", "may", 0, 1)],
             [("V", "may", 0, 1), ("V", "be able to", 1, 4)],
         ]

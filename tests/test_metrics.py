@@ -184,7 +184,7 @@ class TestAnalysisConfig:
         for metric in ("V", "NR1", "NR2", "O", "S", "W", "NC"):
             assert metric in CONFIG.dictionaries
         words = "see reference and may be able to".split()
-        found = CONFIG.matcher.find_matches(words, [(0, len(words))])
+        found = CONFIG.matcher.find_matches(words, [len(words)])
         hit = {metric for metric, matches in zip(DICTIONARY_METRICS, found) if matches}
         assert hit == {"NR1", "NC", "V", "O", "W"}
 

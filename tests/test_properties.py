@@ -78,10 +78,9 @@ class TestTextCore:
 
     @given(st.text())
     def test_sentences_partition_tokens(self, text):
-        words, sentences, _ = scan(normalize(text))
-        covered = [i for start, end in sentences for i in range(start, end)]
-        assert covered == list(range(len(words)))
-        assert all(start < end for start, end in sentences)
+        words, ends, _ = scan(normalize(text))
+        assert all(start < end for start, end in zip([0] + ends, ends))
+        assert ends[-1:] == ([len(words)] if words else [])
 
     @given(pieces)
     def test_token_texts_ignore_case(self, parts):
@@ -146,17 +145,17 @@ class TestSinglePassScan:
     def test_scan_equals_tokenize_split_and_letter_sums(self, text):
         normalized = normalize(text)
         tokens = tokenize(normalized)
-        words, sentences, letters = scan(normalized)
+        words, ends, letters = scan(normalized)
         assert words == [token.text for token in tokens]
-        assert sentences == split_sentences(normalized, tokens)
+        assert ends == [sentence.end for sentence in split_sentences(normalized, tokens)]
         assert letters == sum(token.letter_count for token in tokens)
 
     @given(_ascii_heavy)
     def test_ascii_path_equals_tokenize_split_and_letter_sums(self, text):
         tokens = tokenize(text)
-        words, sentences, letters = scan(text)
+        words, ends, letters = scan(text)
         assert words == [token.text for token in tokens]
-        assert sentences == split_sentences(text, tokens)
+        assert ends == [sentence.end for sentence in split_sentences(text, tokens)]
         assert letters == sum(token.letter_count for token in tokens)
 
 
@@ -227,14 +226,14 @@ class TestMergedMatcher:
         )
     )
     def test_one_call_per_text_equals_calls_per_sentence(self, parts):
-        words, sentences, _ = scan(normalize(splice(parts)))
+        words, ends, _ = scan(normalize(splice(parts)))
         matcher = _GLOSSARY_CONFIG.matcher
         expected = [[] for _ in DICTIONARY_METRICS]
-        for first, last in sentences:
-            found = matcher.find_matches(words[first:last], [(0, last - first)])
+        for first, last in zip([0] + ends, ends):
+            found = matcher.find_matches(words[first:last], [last - first])
             for merged, matches in zip(expected, found):
                 merged += [(m, phrase, first + a, first + b) for m, phrase, a, b in matches]
-        assert matcher.find_matches(words, sentences) == expected
+        assert matcher.find_matches(words, ends) == expected
 
     @given(
         st.one_of(
