@@ -8,6 +8,7 @@ stderr, never as a traceback).
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 from stat import S_ISDIR, S_ISREG
@@ -59,7 +60,8 @@ def _through(standard):
         # The reader went away. Python flushes the stream again at exit,
         # which would report the same error a second time; let that flush
         # drop the rest of the report instead.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), standard.fileno())
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), standard.fileno())
+        os.close(devnull)
         raise
 
 
@@ -70,15 +72,18 @@ def _destination(output: str | None, sources: list[tuple[str, str | None]]):
     ``sources`` are the (flag, path) pairs of the files the run read.
     """
     if output is None:
-        if sys.stdout is None or sys.stdout.closed:  # None when the run started with fd 1 closed
-            raise ReqsmellError("stdout is closed: name a report file with --output")
+        try:  # fails if stdout is None (fd 1 closed at start), closed, or its descriptor is gone
+            os.fstat(sys.stdout.fileno())
+        except (AttributeError, ValueError, OSError) as exc:  # or in memory, as a test's capture: usable
+            if sys.stdout is None or sys.stdout.closed or not isinstance(exc, io.UnsupportedOperation):
+                raise ReqsmellError("stdout is closed: name a report file with --output") from None
         with _through(sys.stdout) as stream:
             yield stream
         return
     # Any failure of a file destination names the path as given, never the temp file.
     try:
         # One stat of the path as given, following links: a link's target is
-        # checked, and /dev/stdout is the pipe, terminal or file stdout is.
+        # checked, and /dev/stdout is whatever stdout has open.
         try:
             status = os.stat(output)
         except FileNotFoundError:
@@ -88,17 +93,13 @@ def _destination(output: str | None, sources: list[tuple[str, str | None]]):
         if status is not None:
             if S_ISDIR(status.st_mode):
                 raise ReqsmellError(f"--output {output} is a directory")
-            if not S_ISREG(status.st_mode):  # a FIFO or a device is written into, not replaced
-                with open(output, "wb") as handle:
-                    yield handle
-                return
             # A file the run read is never replaced, whatever link names it.
             for flag, path in sources:
-                if path is not None and os.path.samestat(status, os.stat(path)):
+                if S_ISREG(status.st_mode) and path is not None and os.path.samestat(status, os.stat(path)):
                     raise ReqsmellError(f"--output {output} is the same file as {flag}")
-            # A standard stream open on the file, as in --output /dev/stdout
-            # >> log or --output /dev/stderr 2>> log, is written through, so
-            # it keeps the shell's append mode.
+            # Whatever stdout or stderr has open, of any type, is written
+            # through that stream: --output /dev/stdout >> log keeps the
+            # shell's append mode, and a socket, which open() refuses, works.
             for standard in (sys.stdout, sys.stderr):
                 opened = None
                 with contextlib.suppress(AttributeError, ValueError, OSError):  # None, closed or no file
@@ -107,20 +108,19 @@ def _destination(output: str | None, sources: list[tuple[str, str | None]]):
                     with _through(standard) as stream:
                         yield stream
                     return
+            if not S_ISREG(status.st_mode):  # any other FIFO or device is written into, not replaced
+                with open(output, "wb") as handle:
+                    yield handle
+                return
         # Write via a temp file and rename, so a failed run never leaves a
         # partial report and an existing file survives untouched on error.
         # A symlink stays, and its target gets the report.
-        import tempfile  # imported here: only this path needs it
         target = os.path.realpath(output)
-        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".reqsmell-")
+        tmp_path = os.path.join(os.path.dirname(target), f".reqsmell-{os.urandom(8).hex()}")
+        handle = open(tmp_path, "xb")  # a new file, no link followed, the mode a plain open() gives
         try:
-            with os.fdopen(fd, "wb") as handle:
+            with handle:
                 yield handle
-            # mkstemp creates the file 0600; give the report the mode a plain
-            # open() would, 0666 less the umask.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp_path, 0o666 & ~umask)
             os.replace(tmp_path, target)
         except BaseException:
             os.unlink(tmp_path)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import socket
 import stat
 import subprocess
 import sys
@@ -117,14 +118,21 @@ class TestHappyPaths:
         assert len(reports) == 1
         assert b'"should have written"' in reports.pop()
 
-    def test_output_file_mode_follows_umask(self, corpus, tmp_path):
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                             ids=["022", "077", "002"])
+    def test_output_file_mode_follows_umask(self, corpus, tmp_path, umask, mode):
         target = tmp_path / "report.csv"
-        previous = os.umask(0o022)
+        previous = os.umask(umask)
         try:
             assert run(["--input", str(corpus), "--format", "csv", "--output", str(target)]) == EXIT_OK
         finally:
             os.umask(previous)
-        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+
+    def test_output_file_leaves_the_process_umask_alone(self, corpus, tmp_path, monkeypatch):
+        # Setting the umask to read it changes it for every thread of the process meanwhile.
+        monkeypatch.setattr(os, "umask", lambda *args: pytest.fail("os.umask called"))
+        assert run(["--input", str(corpus), "--format", "csv", "--output", str(tmp_path / "report.csv")]) == EXIT_OK
 
     def test_no_temp_files_left_behind(self, corpus, tmp_path):
         target = tmp_path / "report.csv"
@@ -609,6 +617,23 @@ class TestStreaming:
         assert (result.returncode, result.stdout) == (EXIT_OK, b"")
         assert log.read_bytes() == b"old\n" + plain.read_bytes()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_output_dev_stdout_writes_into_the_socket_stdout_is(self, corpus):
+        # As under a service manager that hands stdout a socket, which open() refuses.
+        args = [sys.executable, "-m", "reqsmell", "--input", str(corpus), "--format", "csv"]
+        env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+        plain = subprocess.run(args, env=env, capture_output=True, check=True).stdout
+        writer, reader = socket.socketpair()
+        with reader:
+            with writer:
+                process = subprocess.Popen([*args, "--output", "/dev/stdout"], env=env, stdout=writer,
+                                           stderr=subprocess.PIPE)
+            received = b"".join(iter(lambda: reader.recv(65536), b""))
+            err = process.stderr.read()
+            process.stderr.close()
+        assert (process.wait(timeout=60), err) == (EXIT_OK, b"")
+        assert received == plain
+
     @pytest.mark.parametrize("close", ["sys.stdout.close()", "sys.stdout = None", "os.close(1)"])
     def test_output_file_is_written_without_a_usable_stdout(self, corpus, tmp_path, close):
         plain = tmp_path / "plain.csv"
@@ -644,6 +669,31 @@ class TestStreaming:
         monkeypatch.setattr(cli, "build_report", lambda *args, **kwargs: pytest.fail("analysed"))
         assert run(["--input", str(corpus), "--format", "csv"]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: stdout is closed: name a report file with --output\n"
+
+    def test_stdout_whose_descriptor_is_gone_fails_before_the_analysis(self, corpus):
+        code = ("import os, sys; os.close(1); from reqsmell import cli; "
+                "cli.build_report = lambda *args, **kwargs: sys.exit(99); sys.exit(cli.run(sys.argv[1:]))")
+        result = subprocess.run(
+            [sys.executable, "-c", code, "--input", str(corpus), "--format", "csv"],
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+            stderr=subprocess.PIPE,
+        )
+        assert (result.returncode, result.stderr) == (
+            EXIT_ERROR, b"error: stdout is closed: name a report file with --output\n"
+        )
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_broken_pipes_leave_no_descriptor_open(self, corpus, monkeypatch, capsys):
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with open(write_end, "w", encoding="utf-8") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert run(["--input", str(corpus), "--format", "csv"]) == EXIT_ERROR
+                monkeypatch.undo()
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n" * 3
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_reader_closing_stdout_early_is_one_error_line(self, tmp_path):
         corpus = _keyword_dense_corpus(tmp_path / "corpus.csv", 200)
