@@ -133,7 +133,8 @@ class Dictionary(ValidatedTuple, namedtuple("Dictionary", "metric_id patterns or
 
 
 def _builtin(metric_id: str, phrases) -> Dictionary:
-    patterns = frozenset(_parse_phrase_line(p, n) for n, p in enumerate(phrases, start=1))
+    share = {}.setdefault
+    patterns = frozenset(_parse_phrase_line(p, n, share) for n, p in enumerate(phrases, start=1))
     return Dictionary(metric_id, patterns, origin=BUILTIN)
 
 
@@ -173,8 +174,9 @@ class PhraseMatcher:
         root.winners = ()
         root.slots = ()
         self._metric_count = len(dictionaries)
+        # Lists, not tuples: thousands of dead 4-tuples would stay on CPython's free list.
         entries = [
-            (len(pattern.tokens), index, metric, pattern)
+            [len(pattern.tokens), index, metric, pattern]
             for index, (metric, dictionary) in enumerate(dictionaries.items())
             for pattern in dictionary.patterns
         ]
@@ -202,6 +204,8 @@ class PhraseMatcher:
         """Matches in ``words`` cut into sentences at ``ends``, each the index
         one past a sentence's last word, rising to ``len(words)`` as ``scan``
         gives them. With ``spans`` false, only the counts, and no tuple is built."""
+        if (ends[-1] if ends else 0) != len(words):
+            raise ValueError("ends must rise to len(words), each one past a sentence's last word")
         found: list = [[] for _ in range(self._metric_count)] if spans else [0] * self._metric_count
         resume = [0] * self._metric_count  # per metric, the first unconsumed index
         nodes = list(map(self._root.get, words))
@@ -252,12 +256,14 @@ def _with_slots(
     return best.values()
 
 
-def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
+def _parse_phrase_line(line: str, lineno: int, share) -> PhrasePattern:
     """The pattern of a stripped phrase line: the words of ``normalize`` of
     the line without a final ``<PP>``, exactly as in requirement text. A line
     of alphanumerics and spaces takes the words of ``str.split``, which is
     exact because ``[^\\W_]`` is the per-character test of ``str.isalnum``;
-    every other line is cut by ``scan`` itself."""
+    every other line is cut by ``scan`` itself. ``share`` is the ``setdefault``
+    of a dict that keeps one string per distinct word. No word is empty, so
+    the pattern is built without the constructor's check."""
     slot = False
     # Only a line with a "<" can hold the marker; only those need the field checks.
     if "<" in line and PARTICIPLE_MARKER in line.upper():
@@ -272,18 +278,19 @@ def _parse_phrase_line(line: str, lineno: int) -> PhrasePattern:
             )
     text = normalize(line[: -len(PARTICIPLE_MARKER)] if slot else line)
     if text.replace(" ", "").isalnum():
-        return PhrasePattern(tuple(text.split()), slot)
-    # The marker stays in, so it counts for the sentences: it scans as a final word.
-    words, ends, _ = scan(normalize(line))
-    if slot:
-        words.pop()
-    if not words:
-        raise MalformedFileError("empty phrase", lineno)
-    # Matches never cross a sentence boundary, so a phrase that scan cuts
-    # into two sentences (slot included) could never match.
-    if len(ends) > 1:
-        raise MalformedFileError(f"phrase {line!r} spans a sentence boundary and can never match", lineno)
-    return PhrasePattern(tuple(words), slot)
+        words = text.split()
+    else:
+        # The marker stays in, so it counts for the sentences: it scans as a final word.
+        words, ends, _ = scan(normalize(line))
+        if slot:
+            words.pop()
+        if not words:
+            raise MalformedFileError("empty phrase", lineno)
+        # Matches never cross a sentence boundary, so a phrase that scan cuts
+        # into two sentences (slot included) could never match.
+        if len(ends) > 1:
+            raise MalformedFileError(f"phrase {line!r} spans a sentence boundary and can never match", lineno)
+    return tuple.__new__(PhrasePattern, (tuple(map(share, words, words)), slot))
 
 
 def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
@@ -297,7 +304,8 @@ def load_dictionary_file(path: str | os.PathLike[str]) -> dict[str, Dictionary]:
     sections = parse_file(path, _parse_sections)
     # Only the metrics the file leaves out need their built-in list.
     return {
-        metric: Dictionary(metric, frozenset(sections[metric].values()), origin=USER_FILE)
+        # From a set, a frozenset is sized once; added one by one, it ends twice as large.
+        metric: Dictionary(metric, frozenset(set(sections[metric].values())), origin=USER_FILE)
         if metric in sections
         else _builtin(metric, _BUILTIN_PHRASES[metric])
         for metric in DICTIONARY_METRICS
@@ -309,6 +317,7 @@ def _parse_sections(lines: list[str]) -> dict[str, dict[tuple[str, ...], PhraseP
     sections: dict[str, dict[tuple[str, ...], PhrasePattern]] = {}
     current: str | None = None
     current_header_line = 0
+    share = {}.setdefault  # one string per distinct word of the file
 
     def close_section() -> None:
         if current is not None and not sections[current]:
@@ -330,7 +339,7 @@ def _parse_sections(lines: list[str]) -> dict[str, dict[tuple[str, ...], PhraseP
             continue
         if current is None:
             raise MalformedFileError("phrase appears before any [METRIC] section", lineno)
-        pattern = _parse_phrase_line(line, lineno)
+        pattern = _parse_phrase_line(line, lineno, share)
         if pattern.tokens in sections[current]:
             raise MalformedFileError(f"duplicate phrase {pattern.phrase!r}", lineno)
         sections[current][pattern.tokens] = pattern

@@ -159,9 +159,8 @@ def build_report(
         vector = analyze_text(requirement.text, config, spans)
         if vector.spans:
             vector = MetricVector(vector.values, vector.degenerate, tuple(map(share, vector.spans, vector.spans)))
-        flags = tuple(
-            metric for index, violated, limit, metric in compiled if violated(vector.values[index], limit)
-        )
+        # Exact size: tuple(<generator>) is resized, so its dead duplicates would pile up on a free list.
+        flags = tuple([metric for index, violated, limit, metric in compiled if violated(vector.values[index], limit)])
         entries.append(RequirementEntry(requirement.id, vector, share(flags, flags)))
     return AnalysisReport(config, rules, column_mapping, timestamp, tuple(entries), _summarize(entries), spans)
 

@@ -378,6 +378,17 @@ class TestMatcher:
         matcher = PhraseMatcher(builtin_dictionaries())
         assert matcher.find_matches([], []) == [[] for _ in DICTIONARY_METRICS]
 
+    @pytest.mark.parametrize(
+        "words, ends",
+        [(["be", "able"], []), (["may", "may"], [1]), (["be", "able"], [5])],
+        ids=["no-ends", "short", "past-the-words"],
+    )
+    def test_ends_that_do_not_end_at_the_word_count_are_refused(self, words, ends):
+        matcher = PhraseMatcher(builtin_dictionaries())
+        for spans in (True, False):
+            with pytest.raises(ValueError, match=r"ends must rise to len\(words\)"):
+                matcher.find_matches(words, ends, spans)
+
     def test_slot_does_not_take_participle_from_next_sentence(self):
         matcher = self._matcher("should", slots=["should have"])
         words = ["should", "have", "tested"]

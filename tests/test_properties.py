@@ -386,11 +386,14 @@ def _own_text(phrase: str, slot: bool) -> str:
 
 
 class TestLoadedPatternsMatch:
-    """Every pattern that loads matches its own text at least once."""
+    """Every pattern that loads matches its own text at least once. The
+    loader builds its patterns without the constructor's check, so each one
+    must also equal its rebuild through that check."""
 
     def test_builtin_patterns(self):
         for metric, dictionary in _BUILTINS.items():
             for pattern in dictionary.patterns:
+                assert type(pattern) is PhrasePattern and pattern == PhrasePattern(*pattern), pattern
                 text = _own_text(" ".join(pattern.tokens), pattern.participle_slot)
                 assert analyze_text(text, CONFIG).value(metric) >= 1, (metric, text)
 
@@ -413,6 +416,8 @@ class TestLoadedPatternsMatch:
                     config = AnalysisConfig.from_dictionaries(load_dictionary_file(path))
                 except MalformedFileError:
                     reject()
+            (pattern,) = config.dictionaries[metric].patterns
+            assert type(pattern) is PhrasePattern and pattern == PhrasePattern(*pattern), source
             loaded.append((phrase, slot))
             text = _own_text(phrase, slot)
             assert analyze_text(text, config).value(metric) >= 1, (source, text)
