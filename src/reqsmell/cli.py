@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write the report here instead of stdout")
     parser.add_argument("--fail-on-flagged", action="store_true",
                         help="exit with code 2 when any requirement is flagged")
-    parser.add_argument("--timestamp", action="store_true",
-                        help="json only: include a generation timestamp in the report (off by default for stable diffs)")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
 
@@ -152,11 +150,6 @@ def run(argv: list[str] | None = None) -> int:
         if not requirements:
             print("warning: no requirements found (header-only file)", file=sys.stderr)
 
-        timestamp = None
-        if args.timestamp:
-            from datetime import datetime, timezone  # imported here: only this flag needs it
-
-            timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         sources = [("--input", args.input), ("--dictionaries", args.dictionaries), ("--thresholds", args.thresholds)]
         # build_report takes each requirement off the list, in corpus order,
         # as it reads it: each text dies once it is analysed, not with the list.
@@ -167,7 +160,6 @@ def run(argv: list[str] | None = None) -> int:
                 config=AnalysisConfig.from_dictionaries(dictionaries),
                 rules=rules,
                 column_mapping=mapping,
-                timestamp=timestamp,
                 spans=args.format == "json",
             )
             write_report(report, args.format, stream)

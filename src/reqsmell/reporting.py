@@ -1,10 +1,9 @@
 """Threshold flagging, corpus summary, and report rendering.
 
 Reports are written as UTF-8 into a binary stream while they are rendered,
-and are byte-identical for identical inputs:
-no timestamps unless explicitly requested, fixed key order, fixed newline
-convention. No thresholds ship by default; raw metric values are always
-reported and flags only appear when the user supplies rules.
+and are byte-identical for identical inputs: no timestamps, fixed key order,
+fixed newline convention. No thresholds ship by default; raw metric values
+are always reported and flags only appear when the user supplies rules.
 """
 
 import codecs
@@ -16,7 +15,6 @@ from operator import ge, gt
 
 from . import __version__
 from .errors import MalformedFileError, ValidatedTuple, _Memo, parse_file
-from .ingestion import ColumnMapping
 from .metrics import ALL_METRICS, AnalysisConfig, MetricVector, analyze_text
 
 TOOL_NAME = "reqsmell"
@@ -101,11 +99,11 @@ ReportSummary = namedtuple("ReportSummary", "requirement_count flagged_count deg
 
 
 class AnalysisReport(namedtuple(
-    "AnalysisReport", "config rules column_mapping timestamp entries summary with_spans", defaults=(True,)
+    "AnalysisReport", "config rules column_mapping entries summary with_spans", defaults=(True,)
 )):
     """A corpus analysis: what shaped it (config, rules, column mapping or
-    None, timestamp or None), then its results in corpus order (entries,
-    summary). ``with_spans`` is false when its vectors hold no match spans."""
+    None), then its results in corpus order (entries, summary).
+    ``with_spans`` is false when its vectors hold no match spans."""
 
     __slots__ = ()
 
@@ -140,15 +138,15 @@ def build_report(
     requirements,
     config: AnalysisConfig,
     rules=(),
-    column_mapping: ColumnMapping | None = None,
-    timestamp: str | None = None,
+    column_mapping=None,
     spans: bool = True,
 ) -> AnalysisReport:
     """Analyze a corpus and assemble the full report, in corpus order.
     ``requirements`` is any iterable of :class:`Requirement`, read once; the
-    report keeps only their ids. With ``spans`` false no match span is
-    built, and the report has no JSON form. Entries share one tuple per
-    distinct span and per distinct flag set."""
+    report keeps only their ids. ``column_mapping`` is the
+    :class:`ColumnMapping` the corpus was read with, or None. With ``spans``
+    false no match span is built, and the report has no JSON form. Entries
+    share one tuple per distinct span and per distinct flag set."""
     rules = tuple(rules)  # read twice below, so an iterator is consumed once, here
     compiled = _compile_rules(rules)
     # Most spans and flag sets repeat across rows; keeping the first of each
@@ -162,7 +160,7 @@ def build_report(
         # Exact size: tuple(<generator>) is resized, so its dead duplicates would pile up on a free list.
         flags = tuple([metric for index, violated, limit, metric in compiled if violated(vector.values[index], limit)])
         entries.append(RequirementEntry(requirement.id, vector, share(flags, flags)))
-    return AnalysisReport(config, rules, column_mapping, timestamp, tuple(entries), _summarize(entries), spans)
+    return AnalysisReport(config, rules, column_mapping, tuple(entries), _summarize(entries), spans)
 
 
 def write_report(report: AnalysisReport, fmt: str, stream) -> None:
@@ -184,7 +182,7 @@ def render(report: AnalysisReport, fmt: str) -> bytes:
 def _config_payload(report: AnalysisReport) -> dict:
     # The column mapping is keyed by its tuple's field names, so renaming a
     # field changes the report.
-    payload: dict = {
+    return {
         "column_mapping": None if report.column_mapping is None else report.column_mapping._asdict(),
         "dictionaries": {
             metric: {"origin": dictionary.origin, "pattern_count": len(dictionary.patterns)}
@@ -195,9 +193,6 @@ def _config_payload(report: AnalysisReport) -> dict:
             for rule in report.rules
         ],
     }
-    if report.timestamp is not None:
-        payload["timestamp"] = report.timestamp
-    return payload
 
 
 def _write_json(report: AnalysisReport, stream) -> None:

@@ -208,28 +208,6 @@ class TestHappyPaths:
         assert payload["config"]["dictionaries"]["V"]["origin"] == "user-file"
         assert payload["config"]["dictionaries"]["O"]["origin"] == "builtin"
 
-    def test_timestamp_flag(self, corpus, capsys):
-        from datetime import datetime, timezone
-
-        before = datetime.now(timezone.utc).replace(microsecond=0)
-        run(["--input", str(corpus), "--format", "json", "--timestamp"])
-        config = json.loads(capsys.readouterr().out)["config"]
-        # UTC to the second, ISO 8601 with an explicit offset.
-        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", config["timestamp"])
-        assert before <= datetime.fromisoformat(config["timestamp"]) <= datetime.now(timezone.utc)
-        run(["--input", str(corpus), "--format", "json"])
-        config = json.loads(capsys.readouterr().out)["config"]
-        assert "timestamp" not in config
-
-    @pytest.mark.parametrize("fmt", ["csv", "table"])
-    def test_timestamp_flag_leaves_csv_and_table_unchanged(self, corpus, capsysbinary, fmt):
-        # Only the json report has a place for the timestamp.
-        reports = []
-        for flags in ([], ["--timestamp"]):
-            assert run(["--input", str(corpus), "--format", fmt, *flags]) == EXIT_OK
-            reports.append(capsysbinary.readouterr().out)
-        assert reports[0] == reports[1] != b""
-
 
 class TestExitCodes:
     def test_fail_on_flagged_with_hits(self, corpus, thresholds, capsys):
@@ -282,6 +260,16 @@ class TestErrorPaths:
     def test_unknown_flag(self, corpus, capsys):
         assert run(["--input", str(corpus), "--bogus"]) == EXIT_ERROR
         capsys.readouterr()
+
+    def test_timestamp_is_no_longer_an_option(self, corpus, tmp_path, capsys):
+        # A report depends only on its inputs, so it has no generation time.
+        output = tmp_path / "report.json"
+        assert run(["--input", str(corpus), "--format", "json", "--output", str(output), "--timestamp"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: reqsmell")
+        assert captured.err.endswith("error: unrecognized arguments: --timestamp\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.csv"]
 
     def test_bad_delimiter(self, corpus, capsys):
         assert run(["--input", str(corpus), "--delimiter", "::"]) == EXIT_ERROR
@@ -901,6 +889,19 @@ class TestModuleInvocation:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\nTrue\n"
+
+    def test_reporting_loads_no_ingestion(self):
+        # A report only carries the column mapping it is given, so building
+        # one needs no module that reads files.
+        code = "import sys, reqsmell.reporting; print('reqsmell.ingestion' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_bare_import_binds_the_submodules(self):
         code = textwrap.dedent("""

@@ -3,8 +3,8 @@
 Texts here are built three ways: arbitrary unicode and mostly-ASCII text for
 the text-core properties, and keyword splices (dictionary phrases mixed with
 filler) for the matcher properties, so the interesting code paths actually
-fire. The command-line property draws CSV bytes and flag sets, and for a
-share of its runs a well-formed corpus with valid flags.
+fire. One command-line property draws CSV bytes and flag sets; another, in
+each report format, draws well-formed corpora with valid flags.
 """
 
 import contextlib
@@ -15,6 +15,7 @@ import tempfile
 import unicodedata
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,7 @@ from reqsmell.cli import run
 from reqsmell.errors import MalformedFileError
 from reqsmell.ingestion import Requirement
 from reqsmell.metrics import ALL_METRICS, AnalysisConfig, analyze_text
-from reqsmell.reporting import ThresholdRule, build_report
+from reqsmell.reporting import REPORT_FORMATS, ThresholdRule, build_report
 from reqsmell.text import normalize, scan
 
 from oracle import naive_metric_spans, split_sentences, tokenize
@@ -569,7 +570,8 @@ _csv_bytes = st.one_of(
 _FILE_CONTENTS = [
     b"V >= 1\nNW > 3\n", b"V ~= 2\n", b"NW > nan\n", b"[V]\nmay\n", b"[V]\nmay <PP>\n[X]\n", b"\xff\xfe", b"",
 ]
-# Each flag is present or not; a switch has the value None.
+# Each flag is present or not; a switch has the value None. --timestamp is
+# no option, so it covers argparse's usage error.
 _FLAGS = st.fixed_dictionaries(
     {},
     optional={
@@ -587,8 +589,7 @@ _FLAGS = st.fixed_dictionaries(
 
 
 # Runs that ingestion accepts: a well-formed corpus of keyword texts and
-# only valid flags, so a share of the drawn runs reaches the analysis and
-# every report format.
+# only valid flags, all but --format, so every run reaches the analysis.
 _well_formed_run = st.tuples(
     st.lists(
         st.tuples(st.text(alphabet="R0123456789-é", min_size=1, max_size=6), pieces.map(splice)),
@@ -596,38 +597,37 @@ _well_formed_run = st.tuples(
         unique_by=lambda row: row[0],
     ).map(_csv_rows),
     st.fixed_dictionaries(
-        {"--format": st.sampled_from(["json", "csv", "table"])},
+        {},
         optional={
             "--thresholds": st.just(0),
             "--dictionaries": st.just(3),
             "--output": st.just("report.out"),
             "--fail-on-flagged": st.none(),
-            "--timestamp": st.none(),
         },
     ),
-    st.just(True),
     st.sampled_from(["", "line\nbreak "]),
 )
 
 
+def _check_report(fmt, report):
+    if fmt == "table":
+        # One line per requirement between the dashes and the first blank
+        # line, whatever the ids hold.
+        lines = report.decode("utf-8").splitlines()
+        blank = lines.index("")
+        assert set(lines[1]) <= {"-", " "}
+        assert lines[blank + 1].startswith(f"requirements: {blank - 2} ")
+    elif fmt == "json":
+        # The JSON report holds every match's span.
+        for entry in json.loads(report)["requirements"]:
+            assert len(entry["spans"]) == sum(entry["metrics"][m] for m in DICTIONARY_METRICS)
+
+
 class TestCommandLineRobustness:
     def test_every_input_ends_with_an_exit_code_and_one_diagnostic(self):
-        analysed = []
-
-        @settings(max_examples=200, deadline=None)
-        @given(
-            st.one_of(
-                st.tuples(
-                    _csv_bytes,
-                    _FLAGS,
-                    st.sampled_from([True, True, True, False]),
-                    st.sampled_from(["", "line\nbreak "]),
-                ),
-                _well_formed_run,
-            )
-        )
-        def check(case):
-            data, flags, with_input, prefix = case
+        @settings(max_examples=100, deadline=None)
+        @given(_csv_bytes, _FLAGS, st.sampled_from([True, True, True, False]), st.sampled_from(["", "line\nbreak "]))
+        def check(data, flags, with_input, prefix):
             code, report, diagnostics = _run_cli(data, flags, with_input, prefix)
             assert code in (0, 1, 2)
             if "" in (flags.get("--thresholds"), flags.get("--dictionaries"), flags.get("--output")):
@@ -636,26 +636,23 @@ class TestCommandLineRobustness:
             if not any(line.startswith("usage:") for line in diagnostics):
                 # Whatever the paths hold, each diagnostic is one line.
                 assert all(line.startswith(("error: ", "warning: ")) for line in diagnostics)
-            if code == 1:
-                return
-            analysed.append(flags.get("--format", "table"))
-            if analysed[-1] == "table":
-                # One line per requirement between the dashes and the first
-                # blank line, whatever the ids hold.
-                lines = report.decode("utf-8").splitlines()
-                blank = lines.index("")
-                assert set(lines[1]) <= {"-", " "}
-                assert lines[blank + 1].startswith(f"requirements: {blank - 2} ")
-            elif analysed[-1] == "json":
-                # The JSON report holds every match's span.
-                for entry in json.loads(report)["requirements"]:
-                    assert len(entry["spans"]) == sum(entry["metrics"][m] for m in DICTIONARY_METRICS)
+            if code != 1:
+                _check_report(flags.get("--format", "table"), report)
 
         check()
-        # Most random inputs fail in ingestion; enough runs must get past it,
-        # in each format.
-        assert len(analysed) >= 50
-        assert min(map(analysed.count, ("json", "csv", "table"))) >= 5
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_every_well_formed_run_is_analysed(self, fmt):
+        @settings(max_examples=35, deadline=None)
+        @given(_well_formed_run)
+        def check(case):
+            data, flags, prefix = case
+            code, report, diagnostics = _run_cli(data, {"--format": fmt, **flags}, True, prefix)
+            assert code in (0, 2), diagnostics
+            assert all(line.startswith("warning: ") for line in diagnostics)
+            _check_report(fmt, report)
+
+        check()
 
 
 def _run_cli(data, flags, with_input, prefix):

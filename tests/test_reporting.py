@@ -262,9 +262,6 @@ class TestBuildReport:
         assert report.rules == RULES
         assert [entry.flags for entry in report.entries] == [("V",), (), ("NR1",)]
 
-    def test_timestamp_defaults_to_none(self):
-        assert make_report().timestamp is None
-
 
 class TestRenderJson:
     def test_top_level_key_order(self):
@@ -283,13 +280,6 @@ class TestRenderJson:
 
     def test_byte_determinism(self):
         assert render(make_report(), "json") == render(make_report(), "json")
-
-    def test_no_timestamp_key_unless_requested(self):
-        config = json.loads(render(make_report(), "json"))["config"]
-        assert "timestamp" not in config
-        stamped = make_report(timestamp="2024-05-01T12:00:00+00:00")
-        config = json.loads(render(stamped, "json"))["config"]
-        assert config["timestamp"] == "2024-05-01T12:00:00+00:00"
 
     def test_non_ascii_survives(self):
         corpus = [Requirement(id="Ä1", text="systemet kan må bra", row=2)]
@@ -316,8 +306,6 @@ def _reference_json(report):
             for rule in report.rules
         ],
     }
-    if report.timestamp is not None:
-        config_payload["timestamp"] = report.timestamp
     summary = report.summary
     payload = {
         "tool": "reqsmell",
@@ -375,7 +363,7 @@ class TestRenderJsonEncoding:
         [
             {},
             {"column_mapping": ColumnMapping("Key", "Body", "\t")},
-            {"timestamp": "2024-05-01T12:00:00+00:00", "column_mapping": None},
+            {"column_mapping": None},
             {"rules": ()},
         ],
     )
@@ -675,10 +663,10 @@ VALUE_TYPES = [
     (_SUMMARY, ("requirement_count", "flagged_count", "degenerate_count", "metrics"), {},
      "ReportSummary(requirement_count=1, flagged_count=1, degenerate_count=0, "
      "metrics={'NW': MetricSummary(minimum=0, mean=1.5, maximum=3)})"),
-    (AnalysisReport(_STUB_CONFIG, (_RULE,), None, None, (_ENTRY,), _SUMMARY),
-     ("config", "rules", "column_mapping", "timestamp", "entries", "summary", "with_spans"),
+    (AnalysisReport(_STUB_CONFIG, (_RULE,), None, (_ENTRY,), _SUMMARY),
+     ("config", "rules", "column_mapping", "entries", "summary", "with_spans"),
      {"with_spans": True},
-     f"AnalysisReport(config={_STUB_CONFIG!r}, rules=({_RULE!r},), column_mapping=None, timestamp=None, "
+     f"AnalysisReport(config={_STUB_CONFIG!r}, rules=({_RULE!r},), column_mapping=None, "
      f"entries=({_ENTRY!r},), summary={_SUMMARY!r}, with_spans=True)"),
 ]
 
