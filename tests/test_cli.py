@@ -19,13 +19,20 @@ import pytest
 
 import reqsmell
 from reqsmell import __version__, cli, reporting
-from reqsmell.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, main, run
+from reqsmell.cli import EXIT_ERROR, EXIT_FLAGGED, EXIT_OK, run
 from reqsmell.ingestion import ColumnMapping, load_requirements
 from reqsmell.metrics import AnalysisConfig, analyze_text
 from reqsmell.reporting import REPORT_FORMATS, build_report, load_threshold_file, render
 
 DATA = Path(__file__).parent / "data"
 PACKAGE_ROOT = str(Path(reqsmell.__file__).parent.parent)
+
+
+def _child_env():
+    """A child's environment: the package importable, stdout and stderr buffered as by default."""
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 @pytest.fixture
@@ -240,12 +247,40 @@ class TestExitCodes:
         assert run(["--help"]) == EXIT_OK
         assert "--fail-on-flagged" in capsys.readouterr().out
 
-    def test_main_raises_systemexit(self, corpus, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["reqsmell", "--input", str(corpus)])
-        with pytest.raises(SystemExit) as info:
-            main()
-        assert info.value.code == EXIT_OK
-        capsys.readouterr()
+    @pytest.mark.parametrize(("flags", "code"), [
+        ([], EXIT_OK),
+        (["--fail-on-flagged"], EXIT_FLAGGED),
+        (["--fail-on-flagged", "--delimiter", ";"], EXIT_ERROR),
+    ], ids=["clean", "flagged", "error"])
+    def test_python_dash_m_exit_codes(self, flags, code):
+        # Through a pipe: the golden report on exit 0 or 2, nothing on exit 1.
+        result = subprocess.run(
+            [sys.executable, "-m", "reqsmell", "--input", str(DATA / "sample_corpus.csv"),
+             "--thresholds", str(DATA / "thresholds.txt"), "--format", "json", *flags],
+            env=_child_env(),
+            capture_output=True,
+        )
+        assert result.returncode == code
+        if code == EXIT_ERROR:
+            assert (result.stdout, result.stderr) == (b"", b"error: column 'ID' not found in header\n")
+        else:
+            assert (result.stdout, result.stderr) == ((DATA / "golden_report.json").read_bytes(), b"")
+
+    def test_main_ends_the_process_without_atexit_handlers(self, tmp_path):
+        # main() skips the interpreter's teardown, atexit handlers included,
+        # and the process still ends with the run's exit code.
+        code = ("import atexit, sys; atexit.register(sys.stdout.write, 'atexit ran'); "
+                "from reqsmell.cli import main; main()")
+        report = tmp_path / "report.json"
+        result = subprocess.run(
+            [sys.executable, "-c", code, "--input", str(DATA / "sample_corpus.csv"),
+             "--thresholds", str(DATA / "thresholds.txt"), "--format", "json", "--fail-on-flagged",
+             "--output", str(report)],
+            env=_child_env(),
+            capture_output=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (EXIT_FLAGGED, b"", b"")
+        assert report.read_bytes() == (DATA / "golden_report.json").read_bytes()
 
 
 class TestErrorPaths:
@@ -699,6 +734,34 @@ class TestStreaming:
         process.stderr.close()
         assert process.wait(timeout=60) == EXIT_ERROR
         assert err == "error: [Errno 32] Broken pipe\n"
+
+
+class TestFailedStandardStreams:
+    """Every way a CLI process ends gives exit code 0, 1 or 2 and at most one error line."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("flags", [
+        ["--input", str(DATA / "sample_corpus.csv"), "--format", "csv"], ["--help"], ["--version"],
+    ], ids=["report", "help", "version"])
+    def test_stdout_that_fails_is_one_error_line(self, flags):
+        # --help and --version leave their text in stdout's buffer, which
+        # main() flushes; a report fails while it is written.
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "reqsmell", *flags], env=_child_env(), stdout=full, stderr=subprocess.PIPE,
+            )
+        assert (result.returncode, result.stderr) == (EXIT_ERROR, b"error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    def test_stderr_that_cannot_take_the_error_drops_it(self, redirect):
+        # The shell closes fd 2, so Python sets sys.stderr to None, or opens
+        # it read-only, so each write fails; the error line goes nowhere.
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m reqsmell --input /nonexistent {redirect}', sys.executable],
+            env=_child_env(),
+            stdout=subprocess.PIPE,
+        )
+        assert (result.returncode, result.stdout) == (EXIT_ERROR, b"")
 
 
 class TestRunMemory:
